@@ -11,7 +11,7 @@ multi-process runs of the same model agree.
 
 from .engine import CallbackPair, fl_centralized, fl_decentralized
 from .errors import FedforgeError
-from .launcher import LaunchSpec, spawn_all
+from .launcher import LaunchSpec
 from .logreg import ModelVector, TrainConfig, evaluate, train_logreg
 from .transport import Message, NodeConfig, start_node
 
@@ -26,7 +26,6 @@ __all__ = [
     "evaluate",
     "fl_centralized",
     "fl_decentralized",
-    "spawn_all",
     "start_node",
     "train_logreg",
 ]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .engine import CallbackPair, fl_centralized, fl_decentralized
 from .errors import FedforgeError
-from .launcher import ALGORITHMS, DEFAULT_WATCHDOG_SECONDS, LaunchSpec, LaunchTimeoutError, spawn_all
+from .launcher import ALGORITHMS, DEFAULT_WATCHDOG_SECONDS, LaunchSpec, LaunchTimeoutError, launch
 from .logreg import (
     ModelVector,
     cb_cent_client,
@@ -129,8 +129,7 @@ def _cmd_launch(args: argparse.Namespace) -> int:
         split_seed=args.seed,
         out_dir=args.out_dir,
     )
-    codes = spawn_all(spec)
-    return max(codes)
+    return max(launch(spec).exit_codes)
 
 
 def _node_partition(args: argparse.Namespace):

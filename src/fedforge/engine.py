@@ -1,29 +1,29 @@
 """Generic federated-learning rounds over a message transport.
 
-Two executors share one wire discipline.  ``fl_centralized`` runs a star:
-one server broadcasts its model payload, every client trains and replies,
-the server aggregates.  ``fl_decentralized`` runs a clique: every node
-broadcasts, serves every peer's broadcast, and aggregates the replies to
-its own.
+One executor runs every topology.  A round is described by its set of
+broadcasters: a node in the set broadcasts its localData to every peer and
+collects every peer's reply; every node serves the broadcasts of every
+*other* broadcaster.  ``fl_centralized`` runs a star, where only the server
+broadcasts; ``fl_decentralized`` runs a clique, where every node does.
 
-Both follow the same three-phase round:
+Each round has three phases:
 
-* phase 1 - send localData to the relevant peers (ascending id order),
+* phase 1 - a broadcaster sends localData to its peers (ascending id order),
 * phase 2 - for each incoming broadcast, reply with
   ``client_fn(localData, privateData, payload)``,
-* phase 3 - collect the replies and set
+* phase 3 - a broadcaster collects the replies and sets
   ``localData = server_fn(privateData, updates)``.
 
 What the callbacks see is deterministic regardless of network timing:
 ``client_fn`` always reads the localData snapshot taken at round start, and
-``server_fn`` always receives updates sorted by ascending source id.  A
-reply that arrives while the node is still serving broadcasts is buffered
-until phase 3.  localData changes only at the end of phase 3; a client in
-the star additionally adopts its own update, but only after the reply is
-on the wire.
+``server_fn`` always receives the peers' updates sorted by ascending source
+id.  A reply that arrives while the node is still serving broadcasts is
+buffered until phase 3.  A node that collects nothing (a star client)
+adopts its last reply as its new localData, but only after the reply is on
+the wire.
 
 Rounds after the first reuse the previous round's output as the new
-broadcast payload.  The executors block indefinitely on missing peers;
+broadcast payload.  The executor blocks indefinitely on missing peers;
 deadline enforcement belongs to the process launcher.
 """
 
@@ -124,38 +124,24 @@ def fl_centralized(transport, callbacks: CallbackPair, local_data: bytes,
                    private_data, iterations: int = 1) -> bytes:
     """Run the star-topology rounds; returns this node's final localData.
 
-    The node whose id equals ``srv_id`` acts as server and returns the
-    aggregate; every other node acts as client and returns its last update.
-    All nodes must call this with the same node count, server id, and
-    iteration count.
+    Only ``srv_id`` broadcasts.  The server returns the aggregate; every
+    other node is a client and returns its last update.  All nodes must call
+    this with the same node count, server id, and iteration count.
     """
-    cfg = transport.config
-    _check_run(cfg, iterations)
-    if cfg.node_id == cfg.srv_id:
-        return _centralized_server(transport, callbacks, local_data,
-                                   private_data, iterations)
-    return _centralized_client(transport, callbacks, local_data,
-                               private_data, iterations)
+    return _run_rounds(transport, callbacks, local_data, private_data,
+                       iterations, {transport.config.srv_id})
 
 
 def fl_decentralized(transport, callbacks: CallbackPair, local_data: bytes,
                      private_data, iterations: int = 1) -> bytes:
     """Run the clique-topology rounds; returns this node's final localData.
 
-    Every node plays both roles: it broadcasts its own localData, serves
-    every peer's broadcast, and aggregates the replies to its own.  The
-    configured server id is ignored.
+    Every node broadcasts its own localData, serves every peer's broadcast,
+    and aggregates the replies to its own.  The configured server id is
+    ignored.
     """
-    _check_run(transport.config, iterations)
-    return _decentralized_node(transport, callbacks, local_data,
-                               private_data, iterations)
-
-
-def _check_run(cfg, iterations: int) -> None:
-    if cfg.n_nodes < 2:
-        raise ValueError(f"a run needs at least 2 nodes, got {cfg.n_nodes}")
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    return _run_rounds(transport, callbacks, local_data, private_data,
+                       iterations, range(transport.config.n_nodes))
 
 
 def _recv(transport, iteration: int, phase: int) -> Message:
@@ -177,82 +163,43 @@ def _send(transport, dst: int, msg: Message, iteration: int, phase: int) -> None
         ) from exc
 
 
-def _centralized_server(transport, callbacks, local_data, private_data,
-                        iterations):
+def _run_rounds(transport, callbacks, local_data, private_data, iterations,
+                broadcasters):
     cfg = transport.config
-    peers = cfg.peers()
-    for it in range(iterations):
-        for dst in peers:
-            _send(transport, dst, Message(1, cfg.node_id, local_data), it, 1)
-        # The server has no serving duty, so it skips straight to collection.
-        state = RoundState(it, iterations, frozenset(), frozenset(peers))
-        updates: dict[int, bytes] = {}
-        while len(updates) < len(peers):
-            msg = _recv(transport, it, 3)
-            handle_incoming(state, msg, current_phase=3)
-            state.updates_seen.add(msg.src)
-            updates[msg.src] = msg.payload
-        ordered = [updates[src] for src in sorted(updates)]
-        local_data = callbacks.server_fn(private_data, ordered)
-    return local_data
-
-
-def _centralized_client(transport, callbacks, local_data, private_data,
-                        iterations):
-    cfg = transport.config
-    for it in range(iterations):
-        state = RoundState(it, iterations, frozenset({cfg.srv_id}), frozenset())
-        msg = _recv(transport, it, 2)
-        handle_incoming(state, msg, current_phase=2)
-        update = callbacks.client_fn(local_data, private_data, msg.payload)
-        _send(transport, cfg.srv_id, Message(2, cfg.node_id, update), it, 2)
-        local_data = update  # adopt only after the reply is on the wire
-    return local_data
-
-
-def _decentralized_node(transport, callbacks, local_data, private_data,
-                        iterations):
-    cfg = transport.config
-    peers = cfg.peers()
-    expected = frozenset(peers)
-    held: list[tuple[int, bytes]] = []
+    if cfg.n_nodes < 2:
+        raise ValueError(f"a run needs at least 2 nodes, got {cfg.n_nodes}")
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    me = cfg.node_id
+    targets = cfg.peers() if me in broadcasters else []  # broadcast to, collect from
+    serves = frozenset(broadcasters) - {me}
+    collects = frozenset(targets)
+    held: list[Message] = []
     for it in range(iterations):
         snapshot = local_data
-        state = RoundState(it, iterations, expected, expected)
-        for dst in peers:
-            _send(transport, dst, Message(1, cfg.node_id, snapshot), it, 1)
-        buffered: list[tuple[int, bytes]] = []
-
-        def serve(src: int, payload: bytes) -> None:
-            update = callbacks.client_fn(snapshot, private_data, payload)
-            _send(transport, src, Message(2, cfg.node_id, update), it, 2)
-            state.phase1_done.add(src)
-
+        state = RoundState(it, iterations, serves, collects)
+        for dst in targets:
+            _send(transport, dst, Message(1, me, snapshot), it, 1)
         # Broadcasts held from the previous round are served first.
-        for src, payload in held:
-            serve(src, payload)
-        held = []
-        while len(state.phase1_done) < len(peers):
-            msg = _recv(transport, it, 2)
-            action = handle_incoming(state, msg, current_phase=2)
+        pending, held = held, []
+        updates: dict[int, bytes] = {}
+        while len(state.phase1_done) < len(serves) or len(updates) < len(targets):
+            phase = 2 if len(state.phase1_done) < len(serves) else 3
+            msg = pending.pop(0) if pending else _recv(transport, it, phase)
+            action = handle_incoming(state, msg, current_phase=phase)
             if action is Action.PROCESS_CLIENT_DUTY:
-                serve(msg.src, msg.payload)
-            elif action is Action.BUFFER_UPDATE:
-                state.updates_seen.add(msg.src)
-                buffered.append((msg.src, msg.payload))
+                reply = callbacks.client_fn(snapshot, private_data, msg.payload)
+                _send(transport, msg.src, Message(2, me, reply), it, 2)
+                state.phase1_done.add(msg.src)
+                if not targets:
+                    local_data = reply  # adopt only after the reply is on the wire
             elif action is Action.HOLD_NEXT_ROUND:
                 state.held_next.add(msg.src)
-                held.append((msg.src, msg.payload))
-        updates: dict[int, bytes] = dict(buffered)
-        while len(updates) < len(peers):
-            msg = _recv(transport, it, 3)
-            action = handle_incoming(state, msg, current_phase=3)
-            if action is Action.PROCESS_UPDATE:
+                held.append(msg)
+            else:  # BUFFER_UPDATE or PROCESS_UPDATE
                 state.updates_seen.add(msg.src)
                 updates[msg.src] = msg.payload
-            elif action is Action.HOLD_NEXT_ROUND:
-                state.held_next.add(msg.src)
-                held.append((msg.src, msg.payload))
-        ordered = [updates[src] for src in sorted(updates)]
-        local_data = callbacks.server_fn(private_data, ordered)
+        if targets:
+            ordered = [updates[src] for src in sorted(updates)]
+            local_data = callbacks.server_fn(private_data, ordered)
     return local_data

@@ -118,12 +118,15 @@ def _kill_all(procs: list[subprocess.Popen]) -> None:
 def launch(spec: LaunchSpec, echo=print) -> LaunchResult:
     """Spawn all nodes, wait for them, return spawn records and exit codes.
 
+    ``spec.out_dir`` is created, parents included, before any node starts.
     One watchdog budget covers the whole run; on expiry every child is
     killed and the error names the nodes that were still alive.
     """
     procs: list[subprocess.Popen] = []
     records: list[SpawnRecord] = []
     readers: list[threading.Thread] = []
+    if spec.out_dir is not None:
+        Path(spec.out_dir).mkdir(parents=True, exist_ok=True)
     try:
         for node_id in range(spec.n_nodes):
             cmd = _build_node_command(spec, node_id)
@@ -161,8 +164,3 @@ def launch(spec: LaunchSpec, echo=print) -> LaunchResult:
         _kill_all(procs)
         for reader in readers:
             reader.join(timeout=5.0)
-
-
-def spawn_all(spec: LaunchSpec, echo=print) -> list[int]:
-    """Run the full set of nodes; exit codes come back in node-id order."""
-    return launch(spec, echo).exit_codes

@@ -17,7 +17,7 @@ from fedforge.cli import (
     main,
 )
 from fedforge.errors import FedforgeError
-from fedforge.launcher import LaunchTimeoutError
+from fedforge.launcher import LaunchResult, LaunchTimeoutError
 from fedforge.transport import DEFAULT_BASE_PORT, free_base_port
 
 HEADER = "User ID,Gender,Age,EstimatedSalary,Purchased\n"
@@ -138,7 +138,7 @@ def test_timeout_maps_to_exit_3(csv_path, monkeypatch, capsys):
     def boom(spec, echo=print):
         raise LaunchTimeoutError("watchdog expired")
 
-    monkeypatch.setattr(cli, "spawn_all", boom)
+    monkeypatch.setattr(cli, "launch", boom)
     argv = ["launch", "--nodes", "2", "--algo", "centralized", "--data", str(csv_path)]
     assert main(argv) == EXIT_TIMEOUT
     assert "timeout" in capsys.readouterr().err
@@ -148,7 +148,7 @@ def test_runtime_error_maps_to_exit_2(csv_path, monkeypatch, capsys):
     def boom(spec, echo=print):
         raise FedforgeError("connection refused")
 
-    monkeypatch.setattr(cli, "spawn_all", boom)
+    monkeypatch.setattr(cli, "launch", boom)
     argv = ["launch", "--nodes", "2", "--algo", "centralized", "--data", str(csv_path)]
     assert main(argv) == EXIT_RUNTIME
 
@@ -161,7 +161,8 @@ def test_malformed_dataset_maps_to_exit_2(tmp_path, capsys):
 
 
 def test_launch_exit_is_worst_child_exit(csv_path, monkeypatch):
-    monkeypatch.setattr(cli, "spawn_all", lambda spec, echo=print: [0, 7, 0])
+    monkeypatch.setattr(cli, "launch",
+                        lambda spec, echo=print: LaunchResult([], [0, 7, 0]))
     argv = ["launch", "--nodes", "3", "--algo", "centralized", "--data", str(csv_path)]
     assert main(argv) == 7
 

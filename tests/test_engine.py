@@ -324,10 +324,11 @@ def test_decentralized_read_stability():
 # -- message counts -------------------------------------------------------
 
 
+@pytest.mark.parametrize("srv_id", [0, 2])
 @pytest.mark.parametrize("iterations", [1, 3])
-def test_centralized_message_count(iterations):
+def test_centralized_message_count(iterations, srv_id):
     callbacks = CallbackPair(server_fn=mean_server, client_fn=echo_client)
-    handles = sim_transport(3)
+    handles = sim_transport(3, srv_id=srv_id)
 
     def node(handle):
         i = handle.config.node_id
@@ -396,16 +397,31 @@ def test_next_round_broadcast_held_and_served(order):
     assert [unpack1(r) for r in results] == SUM_EXPECTED
 
 
-def test_multi_iteration_reorder_invariance():
-    locals_ = [pack(float(i)) for i in range(3)]
+REORDER_RUNS = [
+    pytest.param(fl_decentralized, n, 0, id=f"clique-n{n}") for n in (2, 3, 4)
+] + [
+    pytest.param(fl_centralized, n, srv_id, id=f"star-n{n}-srv{srv_id}")
+    for n in (2, 3, 4) for srv_id in (0, n - 1)
+]
+
+
+@pytest.mark.parametrize("fl, n, srv_id", REORDER_RUNS)
+def test_multi_iteration_reorder_invariance(fl, n, srv_id):
+    """Each reply adds its sender's fractional tag to the broadcast, so a
+    float sum over the updates depends on their order; delivery order must
+    not change any node's result."""
+    callbacks = CallbackPair(server_fn=SUM_CALLBACKS.server_fn,
+                             client_fn=lambda local, tag, m: pack(unpack1(m) + tag))
+    locals_ = [pack(float(i)) for i in range(n)]
 
     def node_fn(handle):
         i = handle.config.node_id
-        return fl_decentralized(handle, SUM_CALLBACKS, locals_[i], None, 3)
+        return fl(handle, callbacks, locals_[i], 0.1 * (i + 1), 3)
 
-    reference = run_nodes(sim_transport(3, FifoSchedule()), node_fn)
+    reference = run_nodes(sim_transport(n, FifoSchedule(), srv_id), node_fn)
     for seed in range(20):
-        assert run_nodes(sim_transport(3, SeededSchedule(seed)), node_fn) == reference
+        got = run_nodes(sim_transport(n, SeededSchedule(seed), srv_id), node_fn)
+        assert got == reference, f"schedule seed {seed} changed the result"
 
 
 # -- failure and validation paths -----------------------------------------

@@ -15,7 +15,6 @@ from fedforge.launcher import (
     LaunchTimeoutError,
     launch,
     node_out_path,
-    spawn_all,
 )
 from fedforge.transport import free_base_port
 
@@ -121,6 +120,16 @@ def test_child_lines_echoed_with_prefix(real_run):
     assert any(line.startswith("[node 1] ") for line in lines)
 
 
+def test_missing_out_dir_is_created(tmp_path):
+    out_dir = tmp_path / "results" / "nested"
+    spec = LaunchSpec(
+        2, "centralized", tiny_csv(tmp_path),
+        base_port=free_base_port(2), watchdog_seconds=60.0, out_dir=out_dir,
+    )
+    assert launch(spec, echo=lambda _: None).exit_codes == [0, 0]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["node0.bin", "node1.bin"]
+
+
 # -- supervision mechanics (fake children) --------------------------------
 
 
@@ -134,12 +143,6 @@ def test_child_failure_propagates(tmp_path, monkeypatch):
     monkeypatch.setattr(launcher, "_build_node_command", command_stub([0, 7, 0]))
     spec = LaunchSpec(3, "centralized", tiny_csv(tmp_path))
     assert launch(spec, echo=lambda _: None).exit_codes == [0, 7, 0]
-
-
-def test_spawn_all_returns_exit_codes(tmp_path, monkeypatch):
-    monkeypatch.setattr(launcher, "_build_node_command", command_stub([0, 0]))
-    spec = LaunchSpec(2, "centralized", tiny_csv(tmp_path))
-    assert spawn_all(spec, echo=lambda _: None) == [0, 0]
 
 
 def test_watchdog_kills_hung_run(tmp_path, monkeypatch):
@@ -194,4 +197,4 @@ def test_ports_released_between_runs(tmp_path):
         base_port=free_base_port(2), watchdog_seconds=60.0,
     )
     for _ in range(2):
-        assert spawn_all(spec, echo=lambda _: None) == [0, 0]
+        assert launch(spec, echo=lambda _: None).exit_codes == [0, 0]
