@@ -16,6 +16,8 @@ from .engine import CallbackPair, fl_centralized, fl_decentralized
 from .errors import FedforgeError
 from .launcher import ALGORITHMS, DEFAULT_WATCHDOG_SECONDS, LaunchSpec, LaunchTimeoutError, launch
 from .logreg import (
+    DEFAULT_SPLIT_SEED,
+    TEST_FRACTION,
     ModelVector,
     cb_cent_client,
     cb_cent_server,
@@ -35,8 +37,6 @@ EXIT_RUNTIME = 2
 EXIT_TIMEOUT = 3
 
 BASE_PORT_ENV = "FEDFORGE_BASE_PORT"
-DEFAULT_SPLIT_SEED = 42
-DEFAULT_TEST_FRACTION = 0.20
 
 
 class _UsageExit(Exception):
@@ -54,122 +54,98 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit(message, printed=True)
 
 
-def _env_base_port() -> int | None:
-    raw = os.environ.get(BASE_PORT_ENV)
-    if raw is None:
-        return None
+def _resolve_base_port(flag_value: int | None) -> int:
+    # Precedence: explicit flag, then environment, then the default.
+    if flag_value is not None:
+        return flag_value
+    raw = os.environ.get(BASE_PORT_ENV, str(DEFAULT_BASE_PORT))
     try:
         return int(raw)
     except ValueError:
         raise _UsageExit(f"{BASE_PORT_ENV} must be an integer, got {raw!r}")
 
 
-def _resolve_base_port(flag_value: int | None) -> int:
-    # Precedence: explicit flag, then environment, then the default.
-    if flag_value is not None:
-        return flag_value
-    env_value = _env_base_port()
-    if env_value is not None:
-        return env_value
-    return DEFAULT_BASE_PORT
-
-
 def build_parser() -> _Parser:
+    run = _Parser(add_help=False)
+    run.add_argument("--nodes", type=int, required=True, help="number of node processes (>= 2)")
+    run.add_argument("--srv-id", type=int, default=0, help="server node id (centralized only)")
+    run.add_argument("--algo", choices=ALGORITHMS, required=True)
+    run.add_argument("--iters", type=int, default=1, help="number of federation rounds")
+    run.add_argument("--base-port", type=int, default=None,
+                     help=f"first listen port; node i uses base+i (default {BASE_PORT_ENV} or {DEFAULT_BASE_PORT})")
+    run.add_argument("--data", required=True, help="path to the ads CSV dataset")
+    run.add_argument("--seed", type=int, default=DEFAULT_SPLIT_SEED, help="train/test split seed")
+
     parser = _Parser(prog="fedforge", description="Federated learning over plain TCP sockets.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    launch = sub.add_parser("launch", help="spawn an n-node federated run on this machine")
-    launch.add_argument("--nodes", type=int, required=True, help="number of node processes (>= 2)")
-    launch.add_argument("--srv-id", type=int, default=0, help="server node id (centralized only)")
-    launch.add_argument("--algo", choices=ALGORITHMS, required=True)
-    launch.add_argument("--iters", type=int, default=1, help="number of federation rounds")
-    launch.add_argument("--base-port", type=int, default=None,
-                        help=f"first listen port; node i uses base+i (default {BASE_PORT_ENV} or {DEFAULT_BASE_PORT})")
-    launch.add_argument("--data", required=True, help="path to the ads CSV dataset")
+    launch = sub.add_parser("launch", parents=[run], help="spawn an n-node federated run on this machine")
     launch.add_argument("--watchdog", type=float, default=DEFAULT_WATCHDOG_SECONDS,
                         help="kill the run after this many seconds")
-    launch.add_argument("--seed", type=int, default=DEFAULT_SPLIT_SEED, help="train/test split seed")
     launch.add_argument("--out-dir", default=None, help="directory for per-node result files")
 
-    node = sub.add_parser("node", help="run a single node instance (spawned by launch)")
-    node.add_argument("--nodes", type=int, required=True)
+    node = sub.add_parser("node", parents=[run], help="run a single node instance (spawned by launch)")
     node.add_argument("--id", type=int, required=True, dest="node_id")
-    node.add_argument("--srv-id", type=int, default=0)
-    node.add_argument("--algo", choices=ALGORITHMS, required=True)
-    node.add_argument("--iters", type=int, default=1)
-    node.add_argument("--base-port", type=int, default=None)
-    node.add_argument("--data", required=True)
-    node.add_argument("--seed", type=int, default=DEFAULT_SPLIT_SEED)
     node.add_argument("--out", default=None, help="write the final 16-byte model payload here")
 
     return parser
 
 
-def _validate_common(args: argparse.Namespace) -> None:
-    if args.nodes < 2:
-        raise _UsageExit(f"--nodes must be >= 2, got {args.nodes}")
-    if not 0 <= args.srv_id < args.nodes:
-        raise _UsageExit(f"--srv-id must be in [0, {args.nodes}), got {args.srv_id}")
-    if args.iters < 1:
-        raise _UsageExit(f"--iters must be >= 1, got {args.iters}")
-    if not Path(args.data).is_file():
+def _run_spec(args: argparse.Namespace, **launch_fields) -> LaunchSpec:
+    """The LaunchSpec the shared run flags describe; a rejected value or missing dataset exits 1."""
+    try:
+        spec = LaunchSpec(
+            n_nodes=args.nodes, algorithm=args.algo, dataset_path=Path(args.data),
+            srv_id=args.srv_id, iterations=args.iters,
+            base_port=_resolve_base_port(args.base_port), split_seed=args.seed,
+            **launch_fields,
+        )
+    except ValueError as exc:
+        raise _UsageExit(str(exc))
+    if not spec.dataset_path.is_file():
         raise _UsageExit(f"dataset not found: {args.data}")
+    return spec
 
 
 def _cmd_launch(args: argparse.Namespace) -> int:
-    _validate_common(args)
-    spec = LaunchSpec(
-        n_nodes=args.nodes,
-        algorithm=args.algo,
-        dataset_path=args.data,
-        srv_id=args.srv_id,
-        iterations=args.iters,
-        base_port=_resolve_base_port(args.base_port),
-        watchdog_seconds=args.watchdog,
-        split_seed=args.seed,
-        out_dir=args.out_dir,
-    )
+    spec = _run_spec(args, watchdog_seconds=args.watchdog, out_dir=args.out_dir)
     return max(launch(spec).exit_codes)
 
 
-def _node_partition(args: argparse.Namespace):
+def _node_partition(spec: LaunchSpec, node_id: int):
     """Load, split, and pick this node's training slice.
 
     Centralized: the chunks go to the clients in ascending node-id order and
     the server trains nothing.  Decentralized: node i takes chunk i of n.
     """
-    dataset = load_sna_csv(args.data)
-    data = split(dataset, DEFAULT_TEST_FRACTION, args.seed)
-    if args.algo == "centralized":
-        if args.node_id == args.srv_id:
+    dataset = load_sna_csv(spec.dataset_path)
+    data = split(dataset, TEST_FRACTION, spec.split_seed)
+    if spec.algorithm == "centralized":
+        if node_id == spec.srv_id:
             return data, None
-        clients = sorted(i for i in range(args.nodes) if i != args.srv_id)
-        parts = partition_horizontal(data.X_train, data.y_train, args.nodes - 1)
-        return data, parts[clients.index(args.node_id)]
-    parts = partition_horizontal(data.X_train, data.y_train, args.nodes)
-    return data, parts[args.node_id]
+        clients = sorted(i for i in range(spec.n_nodes) if i != spec.srv_id)
+        parts = partition_horizontal(data.X_train, data.y_train, spec.n_nodes - 1)
+        return data, parts[clients.index(node_id)]
+    parts = partition_horizontal(data.X_train, data.y_train, spec.n_nodes)
+    return data, parts[node_id]
 
 
 def run_node(args: argparse.Namespace) -> int:
-    _validate_common(args)
-    if not 0 <= args.node_id < args.nodes:
-        raise _UsageExit(f"--id must be in [0, {args.nodes}), got {args.node_id}")
+    spec = _run_spec(args)
+    try:
+        config = NodeConfig(spec.n_nodes, args.node_id, spec.srv_id, spec.base_port)
+    except ValueError as exc:
+        raise _UsageExit(str(exc))
 
-    data, part = _node_partition(args)
-    config = NodeConfig(
-        n_nodes=args.nodes,
-        node_id=args.node_id,
-        srv_id=args.srv_id,
-        base_port=_resolve_base_port(args.base_port),
-    )
+    data, part = _node_partition(spec, args.node_id)
     local = serialize_model(ModelVector(0.0, 0.0))
     with start_node(config) as transport:
-        if args.algo == "centralized":
+        if spec.algorithm == "centralized":
             callbacks = CallbackPair(server_fn=cb_cent_server, client_fn=cb_cent_client)
-            final = fl_centralized(transport, callbacks, local, part, iterations=args.iters)
+            final = fl_centralized(transport, callbacks, local, part, iterations=spec.iterations)
         else:
             callbacks = CallbackPair(server_fn=cb_decent_server, client_fn=cb_cent_client)
-            final = fl_decentralized(transport, callbacks, local, part, iterations=args.iters)
+            final = fl_decentralized(transport, callbacks, local, part, iterations=spec.iterations)
 
     if args.out is not None:
         Path(args.out).write_bytes(final)

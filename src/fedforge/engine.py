@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import FedforgeError
-from .transport import Message, ProtocolError, TransportError
+from .transport import Message, NodeConfig, ProtocolError, TransportError
 
 # client_fn(local_data, private_data, payload) -> update payload
 ClientFn = Callable[[bytes, object, bytes], bytes]
@@ -144,6 +144,16 @@ def fl_decentralized(transport, callbacks: CallbackPair, local_data: bytes,
                        iterations, range(transport.config.n_nodes))
 
 
+def check_run(config: NodeConfig, iterations: int) -> None:
+    """Run-level rules: at least 2 nodes and at least one round.  Node id,
+    server id and port range belong to ``NodeConfig``; the algorithm and the
+    watchdog to ``LaunchSpec``."""
+    if config.n_nodes < 2:
+        raise ValueError(f"a run needs at least 2 nodes, got {config.n_nodes}")
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+
+
 def _recv(transport, iteration: int, phase: int) -> Message:
     try:
         return transport.recv()
@@ -166,10 +176,7 @@ def _send(transport, dst: int, msg: Message, iteration: int, phase: int) -> None
 def _run_rounds(transport, callbacks, local_data, private_data, iterations,
                 broadcasters):
     cfg = transport.config
-    if cfg.n_nodes < 2:
-        raise ValueError(f"a run needs at least 2 nodes, got {cfg.n_nodes}")
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    check_run(cfg, iterations)
     me = cfg.node_id
     targets = cfg.peers() if me in broadcasters else []  # broadcast to, collect from
     serves = frozenset(broadcasters) - {me}

@@ -17,7 +17,10 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from .engine import check_run
 from .errors import FedforgeError
+from .logreg import DEFAULT_SPLIT_SEED
+from .transport import DEFAULT_BASE_PORT, NodeConfig
 
 ALGORITHMS = ("centralized", "decentralized")
 # The engine waits forever by design; the launcher is the safety net.
@@ -41,21 +44,16 @@ class LaunchSpec:
     dataset_path: Path
     srv_id: int = 0
     iterations: int = 1
-    base_port: int = 6000
+    base_port: int = DEFAULT_BASE_PORT
     watchdog_seconds: float = DEFAULT_WATCHDOG_SECONDS
-    split_seed: int = 42
+    split_seed: int = DEFAULT_SPLIT_SEED
     out_dir: Path | None = None
 
     def __post_init__(self):
-        if self.n_nodes < 2:
-            raise ValueError(f"a run needs at least 2 nodes, got {self.n_nodes}")
+        check_run(NodeConfig(self.n_nodes, 0, self.srv_id, self.base_port), self.iterations)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if not 0 <= self.srv_id < self.n_nodes:
-            raise ValueError(f"server id {self.srv_id} outside 0..{self.n_nodes - 1}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.watchdog_seconds <= 0:
+        if not self.watchdog_seconds > 0:  # NaN too: a NaN deadline never expires
             raise ValueError(f"watchdog must be positive, got {self.watchdog_seconds}")
 
 

@@ -105,6 +105,8 @@ class EvalResult:
 
 _SALARY_NAMES = ("EstimatedSalary", "Estimated")
 _DATA_FILE = "Social_Network_Ads.csv"
+TEST_FRACTION = 0.20
+DEFAULT_SPLIT_SEED = 42
 
 
 def bundled_sna_path() -> Path:

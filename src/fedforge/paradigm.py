@@ -18,6 +18,8 @@ from pathlib import Path
 from .errors import FedforgeError
 from .launcher import LaunchSpec, launch, node_out_path
 from .logreg import (
+    DEFAULT_SPLIT_SEED,
+    TEST_FRACTION,
     Dataset,
     ModelVector,
     TrainConfig,
@@ -32,8 +34,6 @@ from .logreg import (
     train_logreg,
 )
 from .transport import free_base_port
-
-TEST_FRACTION = 0.20
 
 # Tolerances for the report chain.  Zero everywhere the stages compute the
 # same arithmetic; the stage-1 vs stage-2 coefficients genuinely differ
@@ -106,7 +106,7 @@ def _rel_err(reference: float, candidate: float) -> float:
     return abs(candidate - reference) / abs(reference)
 
 
-def phase1_seq_base_case(ds: Dataset, split_seed: int = 42,
+def phase1_seq_base_case(ds: Dataset, split_seed: int = DEFAULT_SPLIT_SEED,
                          cfg: TrainConfig = TrainConfig()) -> RunReport:
     """Stage 1: train once on the full training split."""
     data = split(ds, TEST_FRACTION, split_seed)
@@ -115,7 +115,7 @@ def phase1_seq_base_case(ds: Dataset, split_seed: int = 42,
     return RunReport(models=(model,), accuracy=result.accuracy, phase=1)
 
 
-def phase2_federated_sequential(ds: Dataset, split_seed: int = 42,
+def phase2_federated_sequential(ds: Dataset, split_seed: int = DEFAULT_SPLIT_SEED,
                                 cfg: TrainConfig = TrainConfig(), k: int = 2) -> RunReport:
     """Stage 2: train each horizontal partition independently from (0, 0),
     then aggregate by coefficient-wise mean.
@@ -136,7 +136,7 @@ def phase2_federated_sequential(ds: Dataset, split_seed: int = 42,
     return RunReport(models=(*models, aggregate), accuracy=result.accuracy, phase=2)
 
 
-def phase3_federated_callbacks(ds: Dataset, split_seed: int = 42,
+def phase3_federated_callbacks(ds: Dataset, split_seed: int = DEFAULT_SPLIT_SEED,
                                cfg: TrainConfig = TrainConfig(), k: int = 2) -> RunReport:
     """Stage 3: the stage-2 computation, but routed through the federation
     callbacks with a zero model as both the local state and the request."""
@@ -200,7 +200,7 @@ def _run_leg(spec: LaunchSpec, leg: str, echo) -> None:
         raise SuiteError(f"{leg}: node exit codes {result.exit_codes}")
 
 
-def run_equivalence_suite(dataset_path, split_seed: int = 42,
+def run_equivalence_suite(dataset_path, split_seed: int = DEFAULT_SPLIT_SEED,
                           cfg: TrainConfig = TrainConfig(),
                           base_port: int | None = None,
                           out_dir=None, echo=None) -> list[EquivalenceReport]:
@@ -234,7 +234,6 @@ def run_equivalence_suite(dataset_path, split_seed: int = 42,
         work = Path(out_dir) if out_dir is not None else Path(tmp)
 
         cent_dir = work / "centralized"
-        cent_dir.mkdir(parents=True, exist_ok=True)
         cent_spec = LaunchSpec(
             n_nodes=3, algorithm="centralized", dataset_path=dataset_path,
             srv_id=0, base_port=base_port or free_base_port(3),
@@ -253,7 +252,6 @@ def run_equivalence_suite(dataset_path, split_seed: int = 42,
         reports.append(compare_reports(r3, r4c, 0.0))
 
         dec_dir = work / "decentralized"
-        dec_dir.mkdir(parents=True, exist_ok=True)
         dec_spec = LaunchSpec(
             n_nodes=2, algorithm="decentralized", dataset_path=dataset_path,
             base_port=base_port or free_base_port(2),

@@ -66,23 +66,9 @@ class StartupTimeoutError(TransportError):
 
 
 @dataclass(frozen=True)
-class NodeAddress:
-    """TCP endpoint of one node: always loopback, port = base + node id."""
-
-    host: str
-    port: int
-
-
-def address_for(node_id: int, base_port: int = DEFAULT_BASE_PORT) -> NodeAddress:
-    port = base_port + node_id
-    if not 1024 <= port <= 65535:
-        raise ValueError(f"port {port} for node {node_id} outside [1024, 65535]")
-    return NodeAddress(LOCALHOST, port)
-
-
-@dataclass(frozen=True)
 class NodeConfig:
-    """Static per-run identity and topology of one node."""
+    """Static per-run identity and topology of one node; node i listens on
+    ``base_port + i``."""
 
     n_nodes: int
     node_id: int
@@ -91,11 +77,14 @@ class NodeConfig:
 
     def __post_init__(self):
         if self.n_nodes < 1:
-            raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes}")
+            raise ValueError(f"node count must be >= 1, got {self.n_nodes}")
         if not 0 <= self.node_id < self.n_nodes:
-            raise ValueError(f"node_id {self.node_id} outside [0, {self.n_nodes})")
+            raise ValueError(f"node id {self.node_id} outside [0, {self.n_nodes})")
         if not 0 <= self.srv_id < self.n_nodes:
-            raise ValueError(f"srv_id {self.srv_id} outside [0, {self.n_nodes})")
+            raise ValueError(f"server id {self.srv_id} outside [0, {self.n_nodes})")
+        last_port = self.base_port + self.n_nodes - 1
+        if self.base_port < 1024 or last_port > 65535:
+            raise ValueError(f"ports {self.base_port}..{last_port} outside [1024, 65535]")
 
     def peers(self) -> list[int]:
         return [i for i in range(self.n_nodes) if i != self.node_id]
@@ -229,14 +218,14 @@ class TcpTransport:
     # -- startup ----------------------------------------------------------
 
     def _bind(self):
-        addr = address_for(self.config.node_id, self.config.base_port)
+        port = self.config.base_port + self.config.node_id
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
-            listener.bind((addr.host, addr.port))
+            listener.bind((LOCALHOST, port))
         except OSError as exc:
             listener.close()
-            raise TransportError(f"cannot bind node {self.config.node_id} to {addr.port}: {exc}") from exc
+            raise TransportError(f"cannot bind node {self.config.node_id} to {port}: {exc}") from exc
         listener.listen(self.config.n_nodes)
         self._listener = listener
 
@@ -292,13 +281,13 @@ class TcpTransport:
 
     def _connect_all(self, attempts: int, delay: float):
         for peer in self.config.peers():
-            addr = address_for(peer, self.config.base_port)
+            port = self.config.base_port + peer
             last_error: Exception | None = None
             sock = None
             for _ in range(attempts):
                 sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
                 try:
-                    sock.connect((addr.host, addr.port))
+                    sock.connect((LOCALHOST, port))
                     break
                 except OSError as exc:
                     last_error = exc
@@ -308,7 +297,7 @@ class TcpTransport:
             if sock is None:
                 raise StartupTimeoutError(
                     f"node {self.config.node_id} could not reach peer {peer} "
-                    f"on port {addr.port} after {attempts} attempts: {last_error}"
+                    f"on port {port} after {attempts} attempts: {last_error}"
                 )
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._out[peer] = sock

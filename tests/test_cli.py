@@ -2,6 +2,7 @@
 exit codes, and a live two-node run driven entirely through main()."""
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,13 @@ from fedforge.cli import (
     main,
 )
 from fedforge.errors import FedforgeError
-from fedforge.launcher import LaunchResult, LaunchTimeoutError
+from fedforge.launcher import (
+    DEFAULT_WATCHDOG_SECONDS,
+    LaunchResult,
+    LaunchSpec,
+    LaunchTimeoutError,
+    _build_node_command,
+)
 from fedforge.transport import DEFAULT_BASE_PORT, free_base_port
 
 HEADER = "User ID,Gender,Age,EstimatedSalary,Purchased\n"
@@ -33,13 +40,19 @@ def csv_path(tmp_path) -> Path:
     return path
 
 
-def node_argv(csv, **overrides):
-    opts = dict(nodes="2", id="0", algo="centralized", data=str(csv))
+def run_argv(command, csv, **overrides):
+    opts = dict(nodes="2", algo="centralized", data=str(csv))
+    if command == "node":
+        opts["id"] = "0"
     opts.update(overrides)
-    argv = ["node"]
+    argv = [command]
     for key, value in opts.items():
         argv += [f"--{key.replace('_', '-')}", str(value)]
     return argv
+
+
+def node_argv(csv, **overrides):
+    return run_argv("node", csv, **overrides)
 
 
 # -- usage errors ---------------------------------------------------------
@@ -64,19 +77,37 @@ def test_unknown_algorithm(capsys):
         == EXIT_USAGE
 
 
-def test_too_few_nodes(csv_path, capsys):
-    argv = ["launch", "--nodes", "1", "--algo", "centralized", "--data", str(csv_path)]
-    assert main(argv) == EXIT_USAGE
-    assert "--nodes must be >= 2" in capsys.readouterr().err
+# Shared run flags, checked on both subcommands with --nodes 2.
+BAD_RUN_FLAGS = [
+    ("nodes", "1", "a run needs at least 2 nodes, got 1"),
+    ("srv_id", "9", "server id 9 outside [0, 2)"),
+    ("iters", "0", "iterations must be >= 1, got 0"),
+    ("base_port", "70000", "ports 70000..70001 outside [1024, 65535]"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    *[pytest.param(command, *case, id=f"{command}-{case[0]}={case[1]}")
+      for command in ("launch", "node") for case in BAD_RUN_FLAGS],
+    pytest.param("node", "base_port", "65535", "ports 65535..65536 outside [1024, 65535]",
+                 id="node-base_port=65535"),
+    pytest.param("launch", "watchdog", "0", "watchdog must be positive, got 0.0",
+                 id="launch-watchdog=0"),
+])
+def test_bad_run_flag_is_usage_error(csv_path, monkeypatch, capsys,
+                                     command, flag, value, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a rejected run must not spawn or bind")
+
+    monkeypatch.setattr(cli, "launch", unreachable)
+    monkeypatch.setattr(cli, "start_node", unreachable)
+    assert main(run_argv(command, csv_path, **{flag: value})) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [f"fedforge: error: {message}"]
 
 
 def test_node_id_out_of_range(csv_path, capsys):
     assert main(node_argv(csv_path, id="5")) == EXIT_USAGE
-    assert "--id must be in [0, 2)" in capsys.readouterr().err
-
-
-def test_srv_id_out_of_range(csv_path, capsys):
-    assert main(node_argv(csv_path, srv_id="9")) == EXIT_USAGE
+    assert "node id 5 outside [0, 2)" in capsys.readouterr().err
 
 
 def test_missing_dataset_file(tmp_path, capsys):
@@ -111,6 +142,21 @@ def test_node_defaults():
     )
     assert args.node_id == 1
     assert (args.seed, args.out, args.base_port) == (42, None, None)
+
+
+# -- run description ------------------------------------------------------
+
+
+def test_spec_round_trips_through_node_argv(csv_path, tmp_path):
+    spec = LaunchSpec(n_nodes=4, algorithm="decentralized", dataset_path=csv_path,
+                      srv_id=2, iterations=3, base_port=7100, split_seed=7,
+                      watchdog_seconds=30.0, out_dir=tmp_path)
+    # The watchdog and the output directory stay with the launcher.
+    expected = replace(spec, watchdog_seconds=DEFAULT_WATCHDOG_SECONDS, out_dir=None)
+    for node_id in range(spec.n_nodes):
+        args = build_parser().parse_args(_build_node_command(spec, node_id)[3:])
+        assert args.node_id == node_id
+        assert cli._run_spec(args) == expected
 
 
 # -- base-port precedence -------------------------------------------------

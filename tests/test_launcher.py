@@ -53,6 +53,9 @@ def test_spec_defaults(tmp_path):
     dict(iterations=0),
     dict(watchdog_seconds=0.0),
     dict(watchdog_seconds=-5.0),
+    dict(base_port=70000),
+    dict(base_port=1023),
+    dict(watchdog_seconds=float("nan")),
 ])
 def test_spec_validation(tmp_path, kwargs):
     base = dict(n_nodes=3, algorithm="centralized", dataset_path=tiny_csv(tmp_path))
