@@ -109,7 +109,8 @@ def _run_spec(args: argparse.Namespace, **launch_fields) -> LaunchSpec:
 
 def _cmd_launch(args: argparse.Namespace) -> int:
     spec = _run_spec(args, watchdog_seconds=args.watchdog, out_dir=args.out_dir)
-    return max(launch(spec).exit_codes)
+    # Popen reports a death by signal N as -N; that is a runtime failure.
+    return max(EXIT_RUNTIME if code < 0 else code for code in launch(spec).exit_codes)
 
 
 def _node_partition(spec: LaunchSpec, node_id: int):

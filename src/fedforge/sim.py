@@ -196,8 +196,7 @@ class SimTransport:
 
     def send(self, dst: int, msg: Message) -> None:
         net = self._net
-        if not 0 <= dst < self.config.n_nodes or dst == self.config.node_id:
-            raise ValueError(f"invalid destination {dst}")
+        self.config.check_destination(dst)
         with net.cond:
             if self._closed:
                 raise TransportError("send on closed sim transport")

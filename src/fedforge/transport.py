@@ -9,24 +9,29 @@ frame with an empty payload has length 4.  ``kind`` is 0 for HELLO and 1 for
 DATA.  HELLO frames carry phase 0 and no payload; DATA frames carry phase 1
 or 2 and an opaque payload that is transported verbatim, bit for bit.
 
-Each node binds one listener at ``base_port + node_id`` and dials every peer,
-so a pair of nodes is connected by two TCP streams, one per direction.  A
-node's startup completes only after it has exchanged HELLO frames with every
-peer (the hello barrier); HELLO frames are consumed here and never surface to
-callers.  Received DATA frames are queued into a single FIFO inbox, which
-preserves per-sender order because each sender's frames arrive on one stream
-read by one thread.
+Each pair of nodes shares one full-duplex TCP stream, set up by
+:func:`start_node` on the calling thread: node i listens on
+``base_port + i``, dials every lower id and accepts every higher id.  Each
+stream opens with one HELLO each way, the dialer's first, and startup
+completes once every peer has answered (the hello barrier).  One ``timeout``
+bounds the whole startup, and the listener is closed after the barrier.
+HELLO frames are consumed here and never surface to callers.  One reader
+thread per peer then queues that peer's DATA frames into a single FIFO inbox,
+which preserves per-sender order because each sender's frames arrive on one
+stream read by one thread; a frame that is not DATA from that very peer fails
+the stream.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import socket
 import struct
 import threading
 import time
 import queue
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import FedforgeError
 
@@ -62,7 +67,7 @@ class TransportClosedError(TransportError):
 
 
 class StartupTimeoutError(TransportError):
-    """A peer could not be reached within the startup retry budget."""
+    """Startup did not finish within its timeout; the message names the missing peers."""
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,11 @@ class NodeConfig:
 
     def peers(self) -> list[int]:
         return [i for i in range(self.n_nodes) if i != self.node_id]
+
+    def check_destination(self, dst: int) -> None:
+        """Reject sending to this node itself or to an id outside the run."""
+        if not 0 <= dst < self.n_nodes or dst == self.node_id:
+            raise ValueError(f"invalid destination {dst}")
 
 
 @dataclass(frozen=True)
@@ -179,148 +189,53 @@ def read_frame(sock: socket.socket) -> Frame | None:
     return Frame(kind=kind, phase=phase, src=src, payload=rest[_HEADER.size :])
 
 
-class _Closed:
-    """Inbox sentinel: every producer connection has terminated."""
-
-
-_CLOSED = _Closed()
-
-
-@dataclass
-class _Failure:
-    """Inbox token carrying a receive-side error into the consumer flow."""
-
-    error: Exception = field(default_factory=lambda: TransportError("receive failed"))
+_CLOSED = object()  # inbox sentinel: every peer stream has ended
 
 
 class TcpTransport:
     """Live transport handle for one node; see :func:`start_node`.
 
-    ``send`` must be called from the node's single engine flow only.  The
-    inbox queue is the sole channel between the receiver threads and that
-    flow.
+    Holds one stream and one reader thread per peer.  ``send`` must be called
+    from the node's single engine flow only.  The inbox queue is the sole
+    channel between the readers and that flow: it carries messages, the
+    :class:`TransportError` of a failed stream, and finally ``_CLOSED``.
     """
 
-    def __init__(self, config: NodeConfig):
+    def __init__(self, config: NodeConfig, peers: dict[int, socket.socket]):
         self.config = config
         self.stats = TransportStats()
         self._inbox: queue.Queue = queue.Queue()
-        self._out: dict[int, socket.socket] = {}
-        self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._inbound: list[socket.socket] = []
+        self._peers = peers
         self._lock = threading.Lock()
-        self._hello_seen: set[int] = set()
-        self._hello_cond = threading.Condition(self._lock)
-        self._live_readers = 0
+        self._live_readers = len(peers)
         self._closed = False
+        self._threads = [threading.Thread(target=self._reader_loop, args=pair, daemon=True)
+                         for pair in peers.items()]
+        for thread in self._threads:
+            thread.start()
 
-    # -- startup ----------------------------------------------------------
-
-    def _bind(self):
-        port = self.config.base_port + self.config.node_id
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    def _reader_loop(self, peer: int, sock: socket.socket):
         try:
-            listener.bind((LOCALHOST, port))
-        except OSError as exc:
-            listener.close()
-            raise TransportError(f"cannot bind node {self.config.node_id} to {port}: {exc}") from exc
-        listener.listen(self.config.n_nodes)
-        self._listener = listener
-
-    def _accept_loop(self):
-        expected = self.config.n_nodes - 1
-        accepted = 0
-        assert self._listener is not None
-        while accepted < expected:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed during shutdown
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._lock:
-                if self._closed:
-                    conn.close()
-                    return
-                self._inbound.append(conn)
-                self._live_readers += 1
-            reader = threading.Thread(target=self._reader_loop, args=(conn,), daemon=True)
-            reader.start()
-            self._threads.append(reader)
-            accepted += 1
-        self._listener.close()
-
-    def _reader_loop(self, conn: socket.socket):
-        try:
-            while True:
-                frame = read_frame(conn)
-                if frame is None:
-                    break
-                if frame.src >= self.config.n_nodes:
-                    raise ProtocolError(f"frame from unknown node id {frame.src}")
-                if frame.kind == HELLO:
-                    with self._hello_cond:
-                        self._hello_seen.add(frame.src)
-                        self._hello_cond.notify_all()
-                else:
-                    with self._lock:
-                        self.stats.data_received += 1
-                    self._inbox.put(Message(frame.phase, frame.src, frame.payload))
+            while (frame := read_frame(sock)) is not None:
+                if frame.kind != DATA or frame.src != peer:
+                    raise ProtocolError(f"frame of kind {frame.kind} with src {frame.src}")
+                with self._lock:
+                    self.stats.data_received += 1
+                self._inbox.put(Message(frame.phase, frame.src, frame.payload))
         except (FramingError, ProtocolError, OSError) as exc:
-            with self._lock:
-                dying = self._closed
-            if not dying:
-                self._inbox.put(_Failure(TransportError(f"receive failed: {exc}")))
+            if not self._closed:
+                self._inbox.put(TransportError(f"receive from node {peer} failed: {exc}"))
         finally:
-            with self._hello_cond:
+            with self._lock:
                 self._live_readers -= 1
                 if self._live_readers == 0:
                     self._inbox.put(_CLOSED)
-                self._hello_cond.notify_all()
-
-    def _connect_all(self, attempts: int, delay: float):
-        for peer in self.config.peers():
-            port = self.config.base_port + peer
-            last_error: Exception | None = None
-            sock = None
-            for _ in range(attempts):
-                sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                try:
-                    sock.connect((LOCALHOST, port))
-                    break
-                except OSError as exc:
-                    last_error = exc
-                    sock.close()
-                    sock = None
-                    time.sleep(delay)
-            if sock is None:
-                raise StartupTimeoutError(
-                    f"node {self.config.node_id} could not reach peer {peer} "
-                    f"on port {port} after {attempts} attempts: {last_error}"
-                )
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._out[peer] = sock
-            sock.sendall(encode_frame(Frame(HELLO, 0, self.config.node_id)))
-
-    def _await_hellos(self, timeout: float):
-        peers = set(self.config.peers())
-        with self._hello_cond:
-            ok = self._hello_cond.wait_for(lambda: self._hello_seen >= peers, timeout=timeout)
-        if not ok:
-            missing = sorted(peers - self._hello_seen)
-            raise StartupTimeoutError(
-                f"node {self.config.node_id} missed hello from {missing} within {timeout:.1f}s"
-            )
-
-    # -- steady state -----------------------------------------------------
 
     def send(self, dst: int, msg: Message) -> None:
-        if not 0 <= dst < self.config.n_nodes or dst == self.config.node_id:
-            raise ValueError(f"invalid destination {dst}")
+        self.config.check_destination(dst)
         frame = Frame(DATA, msg.phase, msg.src, msg.payload)
         try:
-            self._out[dst].sendall(encode_frame(frame))
+            self._peers[dst].sendall(encode_frame(frame))
         except OSError as exc:
             raise TransportError(f"send to node {dst} failed: {exc}") from exc
         self.stats.data_sent += 1
@@ -330,8 +245,8 @@ class TcpTransport:
         if item is _CLOSED:
             self._inbox.put(item)  # keep later recv calls failing too
             raise TransportClosedError(f"node {self.config.node_id}: all peers disconnected")
-        if isinstance(item, _Failure):
-            raise item.error
+        if isinstance(item, TransportError):
+            raise item
         return item
 
     def close(self) -> None:
@@ -339,19 +254,13 @@ class TcpTransport:
             if self._closed:
                 return
             self._closed = True
-        # shutdown() before close() wakes threads blocked in recv()/accept();
-        # a bare close() can leave them stuck until their join timeout.
-        for sock in [*self._out.values(), self._listener, *self._inbound]:
-            if sock is None:
-                continue
-            try:
+        # shutdown() before close() wakes readers blocked in recv(); a bare
+        # close() can leave them stuck until their join timeout.
+        for sock in self._peers.values():
+            with contextlib.suppress(OSError):
                 sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
+            with contextlib.suppress(OSError):
                 sock.close()
-            except OSError:
-                pass
         for thread in self._threads:
             thread.join(timeout=2.0)
 
@@ -362,29 +271,98 @@ class TcpTransport:
         self.close()
 
 
-def start_node(
-    config: NodeConfig,
-    connect_attempts: int = 30,
-    connect_delay: float = 0.1,
-) -> TcpTransport:
-    """Bind, connect to all peers, and block until the hello barrier releases.
+_DIAL_PAUSE = 0.1  # seconds between dials to a peer that does not listen yet
 
-    Connection attempts to each peer are retried ``connect_attempts`` times,
-    ``connect_delay`` seconds apart, so nodes may be started in any order.
-    The hello wait reuses the same time budget once dialing succeeded.
+
+def _left(deadline: float) -> float:
+    """Seconds until the startup deadline; TimeoutError once it has passed."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("startup deadline passed")
+    return left
+
+
+def _connect(port: int, deadline: float) -> socket.socket:
+    """Connect to a local port, redialing every ``_DIAL_PAUSE`` until it listens."""
+    while True:
+        left = _left(deadline)
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.settimeout(left)
+        try:
+            sock.connect((LOCALHOST, port))
+            return sock
+        except OSError:
+            sock.close()
+        time.sleep(min(_DIAL_PAUSE, _left(deadline)))
+
+
+def _read_hello(sock: socket.socket) -> int:
+    """The node id carried by the HELLO that must come first on a stream."""
+    frame = read_frame(sock)
+    if frame is None or frame.kind != HELLO:
+        raise ProtocolError("stream did not open with a HELLO frame")
+    return frame.src
+
+
+def start_node(config: NodeConfig, timeout: float = 10.0) -> TcpTransport:
+    """Connect this node to every peer and return once the hello barrier releases.
+
+    Node i listens on ``base_port + i``, dials every lower id (redialing every
+    ``_DIAL_PAUSE`` seconds until that peer listens, so nodes may start in any
+    order), then accepts one stream from every higher id.  On each stream the
+    dialer sends HELLO first; the acceptor checks the dialer's id (in range,
+    above its own, not yet connected) and answers with its own HELLO.  This
+    cannot deadlock: a node waits only on lower ids before it accepts, and
+    node 0 waits on no one.  ``timeout`` seconds bound the whole startup;
+    past it, :class:`StartupTimeoutError` names the peers still missing.  The
+    listener is closed before returning, leaving one socket and one reader
+    thread per peer.
     """
-    transport = TcpTransport(config)
+    deadline = time.monotonic() + timeout
+    me = config.node_id
+    port = config.base_port + me
+    hello = encode_frame(Frame(HELLO, 0, me))
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    opened: list[socket.socket] = []
+    peers: dict[int, socket.socket] = {}
     try:
-        transport._bind()
-        acceptor = threading.Thread(target=transport._accept_loop, daemon=True)
-        acceptor.start()
-        transport._threads.append(acceptor)
-        transport._connect_all(connect_attempts, connect_delay)
-        transport._await_hellos(timeout=connect_attempts * connect_delay + 2.0)
-    except Exception:
-        transport.close()
-        raise
-    return transport
+        try:
+            listener.bind((LOCALHOST, port))
+        except OSError as exc:
+            raise TransportError(f"cannot bind node {me} to {port}: {exc}") from exc
+        listener.listen(config.n_nodes)
+        for peer in range(me):
+            sock = _connect(config.base_port + peer, deadline)
+            opened.append(sock)
+            sock.sendall(hello)
+            sock.settimeout(_left(deadline))
+            if (src := _read_hello(sock)) != peer:
+                raise ProtocolError(f"node {me} dialed node {peer} and got HELLO from {src}")
+            peers[peer] = sock
+        while len(peers) < config.n_nodes - 1:
+            listener.settimeout(_left(deadline))
+            sock, _ = listener.accept()
+            opened.append(sock)
+            sock.settimeout(_left(deadline))
+            src = _read_hello(sock)
+            if not me < src < config.n_nodes or src in peers:
+                raise ProtocolError(f"node {me} got unexpected HELLO from {src}")
+            sock.sendall(hello)
+            peers[src] = sock
+    except TimeoutError as exc:
+        missing = sorted(set(config.peers()) - set(peers))
+        raise StartupTimeoutError(
+            f"node {me} missed hello from {missing} within {timeout:g}s") from exc
+    finally:
+        listener.close()
+        if len(peers) < config.n_nodes - 1:
+            for sock in opened:
+                sock.close()
+    for sock in peers.values():
+        sock.settimeout(None)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return TcpTransport(config, peers)
 
 
 def _bindable(port: int) -> bool:

@@ -206,11 +206,16 @@ def test_malformed_dataset_maps_to_exit_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-def test_launch_exit_is_worst_child_exit(csv_path, monkeypatch):
+@pytest.mark.parametrize("codes,expected", [
+    ([0, 7, 0], 7),
+    ([0, -9, 0], 2),   # a node killed by a signal is a runtime failure
+    ([0, 7, -15], 7),
+], ids=["exit7", "killed", "exit7-and-killed"])
+def test_launch_exit_is_worst_child_exit(csv_path, monkeypatch, codes, expected):
     monkeypatch.setattr(cli, "launch",
-                        lambda spec, echo=print: LaunchResult([], [0, 7, 0]))
+                        lambda spec, echo=print: LaunchResult([], codes))
     argv = ["launch", "--nodes", "3", "--algo", "centralized", "--data", str(csv_path)]
-    assert main(argv) == 7
+    assert main(argv) == expected
 
 
 # -- live runs ------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Wire format down to the byte, then the live TCP behavior: barrier, FIFO,
-fidelity, failure modes, and clean port release."""
+"""Wire format down to the byte, then the live TCP behavior: barrier,
+handshake checks, FIFO, fidelity, failure modes, and clean port release."""
 
 import hashlib
 import itertools
@@ -196,13 +196,17 @@ def test_large_payload_intact(port_for):
         close_all(handles)
 
 
-def test_barrier_all_start_orders(port_for):
-    base = port_for(3)
-    for order in itertools.permutations(range(3)):
+@pytest.mark.parametrize("n,orders", [
+    (3, list(itertools.permutations(range(3)))),
+    (5, [(4, 3, 2, 1, 0)]),  # every dial retries until the whole chain listens
+], ids=["n3-all-orders", "n5-descending"])
+def test_barrier_all_start_orders(port_for, n, orders):
+    base = port_for(n)
+    for order in orders:
         handles: dict = {}
         threads = []
         for node_id in order:
-            cfg = NodeConfig(n_nodes=3, node_id=node_id, base_port=base)
+            cfg = NodeConfig(n_nodes=n, node_id=node_id, base_port=base)
             t = threading.Thread(
                 target=lambda c=cfg: handles.__setitem__(c.node_id, start_node(c)))
             t.start()
@@ -210,8 +214,19 @@ def test_barrier_all_start_orders(port_for):
             time.sleep(0.02)
         for t in threads:
             t.join(timeout=10)
-        assert sorted(handles) == [0, 1, 2], f"barrier stuck for order {order}"
+        assert sorted(handles) == list(range(n)), f"barrier stuck for order {order}"
         close_all(handles.values())
+
+
+def test_listener_closed_after_barrier(port_for):
+    base = port_for(3)
+    handles = start_all(3, base)
+    try:
+        for i in range(3):
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", base + i), timeout=1).close()
+    finally:
+        close_all(handles)
 
 
 def test_single_node_barrier_immediate(port_for):
@@ -224,8 +239,55 @@ def test_single_node_barrier_immediate(port_for):
 
 def test_missing_peer_times_out(port_for):
     cfg = NodeConfig(n_nodes=2, node_id=0, base_port=port_for(2))
-    with pytest.raises(StartupTimeoutError):
-        start_node(cfg, connect_attempts=3, connect_delay=0.05)
+    started = time.monotonic()
+    with pytest.raises(StartupTimeoutError, match=r"\[1\]"):
+        start_node(cfg, timeout=0.3)
+    assert time.monotonic() - started < 1.0
+
+
+def dial_raw(port):
+    """A bare socket connected to a node's port, redialed until it listens."""
+    deadline = time.monotonic() + 5
+    while True:
+        try:
+            return socket.create_connection(("127.0.0.1", port), timeout=5)
+        except ConnectionRefusedError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.01)
+
+
+@pytest.mark.parametrize("opening", [
+    Frame(DATA, 1, 1, b"early"),  # DATA before any HELLO
+    Frame(HELLO, 0, 0),           # claims the acceptor's own id
+    Frame(HELLO, 0, 5),           # claims an id outside the run
+], ids=["data-first", "hello-as-self", "hello-out-of-range"])
+def test_bad_opening_frame_rejected(port_for, opening):
+    base = port_for(2)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        node = pool.submit(start_node, NodeConfig(n_nodes=2, node_id=0, base_port=base),
+                           timeout=3)
+        with dial_raw(base) as raw:
+            started = time.monotonic()
+            raw.sendall(encode_frame(opening))
+            with pytest.raises(ProtocolError):
+                node.result(timeout=10)
+            assert time.monotonic() - started < 1.0
+
+
+def test_spoofed_src_fails_the_stream(port_for):
+    base = port_for(2)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        node = pool.submit(start_node, NodeConfig(n_nodes=2, node_id=0, base_port=base),
+                           timeout=3)
+        with dial_raw(base) as raw:
+            raw.sendall(encode_frame(Frame(HELLO, 0, 1)))
+            assert read_frame(raw) == Frame(HELLO, 0, 0)
+            with node.result(timeout=10) as handle:
+                raw.sendall(encode_frame(Frame(DATA, 1, 0, b"spoofed")))
+                with pytest.raises(TransportError, match="node 1") as failure:
+                    handle.recv()
+                assert not isinstance(failure.value, TransportClosedError)
 
 
 def test_port_already_bound(port_for):
