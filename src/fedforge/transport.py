@@ -15,22 +15,24 @@ Each pair of nodes shares one full-duplex TCP stream, set up by
 stream opens with one HELLO each way, the dialer's first, and startup
 completes once every peer has answered (the hello barrier).  One ``timeout``
 bounds the whole startup, and the listener is closed after the barrier.
-HELLO frames are consumed here and never surface to callers.  One reader
-thread per peer then queues that peer's DATA frames into a single FIFO inbox,
-which preserves per-sender order because each sender's frames arrive on one
-stream read by one thread; a frame that is not DATA from that very peer fails
-the stream.
+HELLO frames are consumed here and never surface to callers.
+
+After the barrier a node runs no thread of its own: its streams turn
+non-blocking, and :class:`TcpTransport` does all I/O on the engine's thread.
+``recv`` waits in ``select`` on every stream that has not ended, cuts what
+arrives into frames and queues their messages in one FIFO inbox, in
+per-sender order since each sender's frames arrive on one stream.  A frame
+that is not DATA from that very peer fails the stream.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
+import select
 import socket
 import struct
-import threading
 import time
-import queue
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import FedforgeError
@@ -44,6 +46,7 @@ LOCALHOST = "127.0.0.1"
 _LEN_PREFIX = struct.Struct(">I")
 _HEADER = struct.Struct(">BBH")
 _MAX_PAYLOAD = 0xFFFFFFFF - _HEADER.size
+_CHUNK = 1 << 18  # most bytes taken from one stream per read
 
 
 class EncodingError(FedforgeError):
@@ -161,108 +164,104 @@ def decode_frame(data: bytes) -> Frame:
     return Frame(kind=kind, phase=phase, src=src, payload=payload)
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    """Read exactly n bytes; None on clean EOF at a frame boundary."""
+def _recv_exact(sock: socket.socket, n: int) -> bytes:
+    """Read n bytes from a blocking socket; fewer only if the stream ends first."""
     buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            if buf:
-                raise FramingError("connection closed mid-frame")
-            return None
+    while len(buf) < n and (chunk := sock.recv(n - len(buf))):
         buf += chunk
     return buf
 
 
 def read_frame(sock: socket.socket) -> Frame | None:
-    """Read one frame from a stream socket; None on clean EOF."""
-    prefix = _recv_exact(sock, _LEN_PREFIX.size)
-    if prefix is None:
-        return None
-    (length,) = _LEN_PREFIX.unpack(prefix)
-    if length < _HEADER.size:
-        raise FramingError(f"declared frame length {length} below header size")
-    rest = _recv_exact(sock, length)
-    if rest is None:
-        raise FramingError("connection closed mid-frame")
-    kind, phase, src = _HEADER.unpack_from(rest, 0)
-    return Frame(kind=kind, phase=phase, src=src, payload=rest[_HEADER.size :])
-
-
-_CLOSED = object()  # inbox sentinel: every peer stream has ended
+    """Read one frame from a blocking stream socket; None on clean EOF."""
+    data = _recv_exact(sock, _LEN_PREFIX.size)
+    if len(data) == _LEN_PREFIX.size:
+        data += _recv_exact(sock, _LEN_PREFIX.unpack(data)[0])
+    return decode_frame(data) if data else None
 
 
 class TcpTransport:
     """Live transport handle for one node; see :func:`start_node`.
 
-    Holds one stream and one reader thread per peer.  ``send`` must be called
-    from the node's single engine flow only.  The inbox queue is the sole
-    channel between the readers and that flow: it carries messages, the
-    :class:`TransportError` of a failed stream, and finally ``_CLOSED``.
+    Runs no thread: ``send`` and ``recv`` do all I/O on the node's single
+    engine flow, and the inbox holds messages and the :class:`TransportError`
+    of a failed stream.  ``send`` returns once the whole frame is in the
+    kernel; while it does not fit, ``send`` keeps reading every stream, so
+    two nodes sending large frames to each other cannot both block.  Above
+    the socket buffers a frame thus goes out only while the peer's engine is
+    in ``send`` or ``recv``: always so with one process per node, not when
+    one thread drives both ends.  ``select`` caps a node near 1,000 streams.
     """
 
     def __init__(self, config: NodeConfig, peers: dict[int, socket.socket]):
         self.config = config
         self.stats = TransportStats()
-        self._inbox: queue.Queue = queue.Queue()
         self._peers = peers
-        self._lock = threading.Lock()
-        self._live_readers = len(peers)
-        self._closed = False
-        self._threads = [threading.Thread(target=self._reader_loop, args=pair, daemon=True)
-                         for pair in peers.items()]
-        for thread in self._threads:
-            thread.start()
+        self._inbox: deque[Message | TransportError] = deque()
+        # streams that have not ended, each with its peer id and unread bytes
+        self._live = {sock: (peer, bytearray()) for peer, sock in peers.items()}
 
-    def _reader_loop(self, peer: int, sock: socket.socket):
+    def _read(self, sock: socket.socket) -> None:
+        """Move the complete frames that have arrived on one stream into the inbox."""
+        peer, buf = self._live[sock]
         try:
-            while (frame := read_frame(sock)) is not None:
+            chunk = sock.recv(_CHUNK)
+            if not chunk:  # the stream ended
+                if buf:
+                    raise FramingError("connection closed mid-frame")
+                del self._live[sock]
+            buf += chunk
+            while len(buf) >= _LEN_PREFIX.size:
+                end = _LEN_PREFIX.size + _LEN_PREFIX.unpack_from(buf)[0]
+                if len(buf) < end:
+                    break
+                frame = decode_frame(bytes(buf[:end]))
+                del buf[:end]
                 if frame.kind != DATA or frame.src != peer:
                     raise ProtocolError(f"frame of kind {frame.kind} with src {frame.src}")
-                with self._lock:
-                    self.stats.data_received += 1
-                self._inbox.put(Message(frame.phase, frame.src, frame.payload))
+                self.stats.data_received += 1
+                self._inbox.append(Message(frame.phase, frame.src, frame.payload))
+        except BlockingIOError:  # spurious readiness: nothing arrived
+            pass
         except (FramingError, ProtocolError, OSError) as exc:
-            if not self._closed:
-                self._inbox.put(TransportError(f"receive from node {peer} failed: {exc}"))
-        finally:
-            with self._lock:
-                self._live_readers -= 1
-                if self._live_readers == 0:
-                    self._inbox.put(_CLOSED)
+            self._live.pop(sock, None)
+            self._inbox.append(TransportError(f"receive from node {peer} failed: {exc}"))
+
+    def _wait(self, writable: list[socket.socket]) -> None:
+        """Wait until a live stream is readable or ``writable`` can take bytes;
+        read every readable stream."""
+        readable, _, _ = select.select(list(self._live), writable, [])
+        for sock in readable:
+            self._read(sock)
 
     def send(self, dst: int, msg: Message) -> None:
         self.config.check_destination(dst)
-        frame = Frame(DATA, msg.phase, msg.src, msg.payload)
+        sock = self._peers[dst]
+        data = memoryview(encode_frame(Frame(DATA, msg.phase, msg.src, msg.payload)))
         try:
-            self._peers[dst].sendall(encode_frame(frame))
+            while data:
+                try:
+                    data = data[sock.send(data):]
+                except BlockingIOError:
+                    self._wait([sock])
         except OSError as exc:
             raise TransportError(f"send to node {dst} failed: {exc}") from exc
         self.stats.data_sent += 1
 
     def recv(self) -> Message:
-        item = self._inbox.get()
-        if item is _CLOSED:
-            self._inbox.put(item)  # keep later recv calls failing too
-            raise TransportClosedError(f"node {self.config.node_id}: all peers disconnected")
+        while not self._inbox:
+            if not self._live:
+                raise TransportClosedError(f"node {self.config.node_id}: all peers disconnected")
+            self._wait([])
+        item = self._inbox.popleft()
         if isinstance(item, TransportError):
             raise item
         return item
 
     def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        # shutdown() before close() wakes readers blocked in recv(); a bare
-        # close() can leave them stuck until their join timeout.
+        self._live.clear()
         for sock in self._peers.values():
-            with contextlib.suppress(OSError):
-                sock.shutdown(socket.SHUT_RDWR)
-            with contextlib.suppress(OSError):
-                sock.close()
-        for thread in self._threads:
-            thread.join(timeout=2.0)
+            sock.close()
 
     def __enter__(self) -> "TcpTransport":
         return self
@@ -315,8 +314,8 @@ def start_node(config: NodeConfig, timeout: float = 10.0) -> TcpTransport:
     cannot deadlock: a node waits only on lower ids before it accepts, and
     node 0 waits on no one.  ``timeout`` seconds bound the whole startup;
     past it, :class:`StartupTimeoutError` names the peers still missing.  The
-    listener is closed before returning, leaving one socket and one reader
-    thread per peer.
+    listener is closed before returning, leaving one non-blocking socket per
+    peer and no thread.
     """
     deadline = time.monotonic() + timeout
     me = config.node_id
@@ -360,7 +359,7 @@ def start_node(config: NodeConfig, timeout: float = 10.0) -> TcpTransport:
             for sock in opened:
                 sock.close()
     for sock in peers.values():
-        sock.settimeout(None)
+        sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return TcpTransport(config, peers)
 

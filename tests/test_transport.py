@@ -184,14 +184,35 @@ def test_per_pair_fifo(port_for):
         close_all(handles)
 
 
-def test_large_payload_intact(port_for):
+@pytest.mark.parametrize("senders", [(0,), (0, 1)], ids=["one-way", "both-ways"])
+def test_large_payload_intact(port_for, senders):
+    """16 MiB frames, far above the socket buffers; with both nodes sending
+    at once, neither may block the other.  Each node runs on its own thread,
+    so a deadlock fails the join instead of hanging the suite."""
+    size = 16 * 2**20
+    blobs = {src: bytes(range(251)) * (size // 251) + bytes([src]) * (size % 251)
+             for src in senders}
     handles = start_all(2, port_for(2))
+    received: dict = {}
+
+    def node(me):
+        if me in blobs:
+            handles[me].send(1 - me, Message(2, me, blobs[me]))
+        if 1 - me in blobs:
+            received[me] = handles[me].recv().payload
+
+    threads = [threading.Thread(target=node, args=(me,), daemon=True) for me in (0, 1)]
     try:
-        blob = bytes(i % 251 for i in range(10**6))
-        handles[0].send(1, Message(2, 0, blob))
-        received = handles[1].recv().payload
-        assert len(received) == 10**6
-        assert hashlib.sha256(received).digest() == hashlib.sha256(blob).digest()
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 20
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not any(t.is_alive() for t in threads), "large frames deadlocked"
+        for src, blob in blobs.items():
+            got = received[1 - src]
+            assert len(got) == size
+            assert hashlib.sha256(got).digest() == hashlib.sha256(blob).digest()
     finally:
         close_all(handles)
 
@@ -218,10 +239,12 @@ def test_barrier_all_start_orders(port_for, n, orders):
         close_all(handles.values())
 
 
-def test_listener_closed_after_barrier(port_for):
+def test_no_listener_and_no_thread_after_barrier(port_for):
     base = port_for(3)
+    threads_before = threading.active_count()
     handles = start_all(3, base)
     try:
+        assert threading.active_count() == threads_before
         for i in range(3):
             with pytest.raises(ConnectionRefusedError):
                 socket.create_connection(("127.0.0.1", base + i), timeout=1).close()
