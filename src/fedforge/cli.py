@@ -21,7 +21,8 @@ from .logreg import (
     ModelVector,
     cb_cent_client,
     cb_cent_server,
-    cb_decent_server,
+    cb_decent_server,  # unused here; perfbench/node.py wraps it by name
+    clique_updates,
     deserialize_model,
     evaluate,
     load_sna_csv,
@@ -145,7 +146,12 @@ def run_node(args: argparse.Namespace) -> int:
             callbacks = CallbackPair(server_fn=cb_cent_server, client_fn=cb_cent_client)
             final = fl_centralized(transport, callbacks, local, part, iterations=spec.iterations)
         else:
-            callbacks = CallbackPair(server_fn=cb_decent_server, client_fn=cb_cent_client)
+            # The own update starts from the zero model on a partition that
+            # never changes, so it is the same every round: train it once.
+            own = cb_cent_client(local, part, local)
+            callbacks = CallbackPair(
+                server_fn=lambda _, msgs: cb_cent_server(None, clique_updates(msgs, own)),
+                client_fn=cb_cent_client)
             final = fl_decentralized(transport, callbacks, local, part, iterations=spec.iterations)
 
     if args.out is not None:

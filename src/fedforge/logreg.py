@@ -2,9 +2,11 @@
 
 The model predicts purchase intent from age alone: two coefficients, an
 intercept b0 and a slope b1.  Training minimizes squared error through the
-sigmoid (not cross-entropy) by full-batch gradient descent; every sum runs
-in index order with plain Python floats, so results are bit-reproducible
-and aggregation order matters.
+sigmoid (not cross-entropy) by full-batch gradient descent.  Every float
+sum is an explicit left-to-right loop, never ``sum()``, whose compensated
+float summation since CPython 3.12 would round differently; so results are
+bit-reproducible on every supported interpreter, and aggregation order
+matters.
 
 The callbacks at the bottom adapt training and averaging to the engine's
 plug-in signatures.  Models cross the wire as 16-byte big-endian payloads;
@@ -203,18 +205,41 @@ def normalize(xs: list[float]) -> list[float]:
 
     A zero or undefined std (constant input, single element) degrades to
     pure centering so federated per-partition use stays well-defined.
+    Deviations so small that their squares would underflow are scaled by a
+    power of two first, which changes no other input's result.
+
+    Rounding bound: each output lies within
+    ``2 * sqrt(n) * ((n * eps * max|x| + eta) / s + (n + 6) * eps)`` of the
+    exactly standardized value, where ``eps = 2**-53``, ``eta = 2**-1074``
+    (the smallest subnormal) and ``s`` is the exact sample std.  Its first
+    term is the rounding of the mean, which a spread small against the
+    values magnifies: ``[2.0, 2.00001]`` comes out 3.1e-11 off.
     """
     if not xs:
         raise ValueError("cannot normalize an empty vector")
     n = len(xs)
-    mean = sum(xs) / n
-    if n > 1:
-        s = math.sqrt(sum((x - mean) ** 2 for x in xs) / (n - 1))
-    else:
-        s = 0.0
+    total = 0.0
+    for x in xs:
+        total = total + x
+    mean = total / n
+    devs = [x - mean for x in xs]
+    top = max(map(abs, devs))
+    if 0.0 < top < _TINY_DEVIATION:
+        # Squares this small round in the subnormal range; scaling every
+        # deviation by one power of two is exact and keeps them normal.
+        devs = [math.ldexp(d, -math.frexp(top)[1]) for d in devs]
+    squares = 0.0
+    for d in devs:
+        squares = squares + d ** 2
+    s = math.sqrt(squares / (n - 1)) if n > 1 else 0.0
     if s == 0.0:
         s = 1.0
-    return [(x - mean) / s for x in xs]
+    return [d / s for d in devs]
+
+
+# From this largest deviation up, the squares' sum is at least 2**-960, so
+# squares rounded in the subnormal range change it by under 2**-115 each.
+_TINY_DEVIATION = 2.0 ** -480
 
 
 def _sigmoid(t: float) -> float:
@@ -234,23 +259,44 @@ def gradient(X: list[float], Y: list[int], y_pred: list[float]) -> Gradient:
     """Gradient of the squared error summed through the sigmoid."""
     if not len(X) == len(Y) == len(y_pred):
         raise ValueError(f"length mismatch: {len(X)}, {len(Y)}, {len(y_pred)}")
-    d_b0 = -2 * sum((y - p) * p * (1 - p) for y, p in zip(Y, y_pred))
-    d_b1 = -2 * sum(x * (y - p) * p * (1 - p) for x, y, p in zip(X, Y, y_pred))
-    return Gradient(d_b0, d_b1)
+    s0 = 0.0
+    s1 = 0.0
+    for x, y, p in zip(X, Y, y_pred):
+        s0 = s0 + (y - p) * p * (1 - p)
+        s1 = s1 + x * (y - p) * p * (1 - p)
+    return Gradient(-2 * s0, -2 * s1)
 
 
 def train_logreg(X: list[float], Y: list[int], cfg: TrainConfig = TrainConfig(),
                  init: ModelVector = ModelVector(0.0, 0.0)) -> ModelVector:
-    """Full-batch gradient descent from ``init``; X is normalized once."""
+    """Full-batch gradient descent from ``init``; X is normalized once.
+
+    Each epoch is one pass over the rows that computes ``predict`` and
+    ``gradient`` inline, with the same operand order, so the result is the
+    same bits as calling them.
+    """
     if not X or len(X) != len(Y):
         raise ValueError(f"need matching nonempty X, Y; got {len(X)}, {len(Y)}")
-    xs = normalize(X)
+    rows = list(zip(normalize(X), map(float, Y)))
+    lr = cfg.learning_rate
+    exp = math.exp
     b0, b1 = init.b0, init.b1
     for epoch in range(cfg.epochs):
-        y_pred = predict(xs, ModelVector(b0, b1))
-        g = gradient(xs, Y, y_pred)
-        b0 = b0 - cfg.learning_rate * g.d_b0
-        b1 = b1 - cfg.learning_rate * g.d_b1
+        s0 = 0.0
+        s1 = 0.0
+        for x, y in rows:
+            t = b0 + b1 * x
+            if t > 500.0:
+                t = 500.0
+            elif t < -500.0:
+                t = -500.0
+            p = 1.0 / (1.0 + exp(-t))
+            r = y - p
+            q = 1.0 - p
+            s0 = s0 + r * p * q
+            s1 = s1 + x * r * p * q
+        b0 = b0 - lr * (-2.0 * s0)
+        b1 = b1 - lr * (-2.0 * s1)
         if not (math.isfinite(b0) and math.isfinite(b1)):
             raise TrainingError(f"coefficients diverged at epoch {epoch}: ({b0}, {b1})")
     return ModelVector(b0, b1)
@@ -312,10 +358,17 @@ def cb_cent_server(private_data, msgs: list[bytes]) -> bytes:
     return serialize_model(ModelVector(b0, b1))
 
 
-def cb_decent_server(private_data: Partition, msgs: list[bytes]) -> bytes:
-    """Clique aggregation: train on the own partition from a fresh model,
-    append that update after the received ones, then average."""
+def clique_updates(msgs: list[bytes], own: bytes) -> list[bytes]:
+    """The updates a clique node averages with ``cb_cent_server``: the
+    received ones in list order, then its own."""
     if not msgs:
         raise ValueError("cannot aggregate an empty update list")
-    my_update = cb_cent_client(None, private_data, serialize_model(ModelVector(0.0, 0.0)))
-    return cb_cent_server(None, list(msgs) + [my_update])
+    return [*msgs, own]
+
+
+def cb_decent_server(private_data: Partition, msgs: list[bytes]) -> bytes:
+    """Clique aggregation that trains the own update on every call, on the
+    own partition from a fresh model.  That update is the same every round,
+    so ``fedforge node`` trains it once per run instead."""
+    own = cb_cent_client(None, private_data, serialize_model(ModelVector(0.0, 0.0)))
+    return cb_cent_server(None, clique_updates(msgs, own))

@@ -282,14 +282,22 @@ def _left(deadline: float) -> float:
 
 
 def _connect(port: int, deadline: float) -> socket.socket:
-    """Connect to a local port, redialing every ``_DIAL_PAUSE`` until it listens."""
+    """Connect to a local port, redialing every ``_DIAL_PAUSE`` until it listens.
+
+    A dial to a port nobody listens on can be given that same port as its
+    source port; the SYN then meets itself and the socket connects to
+    itself, holding the port its peer must bind.  Such a socket counts as
+    "not listening yet".
+    """
     while True:
         left = _left(deadline)
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.settimeout(left)
         try:
             sock.connect((LOCALHOST, port))
-            return sock
+            if sock.getsockname() != sock.getpeername():
+                return sock
+            sock.close()
         except OSError:
             sock.close()
         time.sleep(min(_DIAL_PAUSE, _left(deadline)))
@@ -376,19 +384,20 @@ def _bindable(port: int) -> bool:
         probe.close()
 
 
-def free_base_port(n_nodes: int, lo: int = 20000, hi: int = 60000) -> int:
-    """Pick a base port whose n_nodes-long range is currently bindable.
+def free_base_port(n_nodes: int, lo: int = 10000, hi: int = 32768) -> int:
+    """Pick a base port whose n_nodes-long range lies in [lo, hi) and is
+    currently bindable.
 
+    The default range ends where the usual local (ephemeral) port ranges of
+    Linux, macOS and Windows begin, so no dial's source port lands in it.
     The starting probe is derived from the pid so concurrent processes tend
     toward disjoint ranges; the free check is best-effort (another process
     can still race for the ports), which is fine for tests and local runs.
     """
-    span = hi - lo
+    span = hi - lo - n_nodes + 1
     start = (os.getpid() * 997) % span
     for k in range(200):
         base = lo + (start + k * (n_nodes + 3)) % span
-        if base + n_nodes >= 65536:
-            continue
         if all(_bindable(base + i) for i in range(n_nodes)):
             return base
     raise TransportError(f"no free range of {n_nodes} ports in [{lo}, {hi})")

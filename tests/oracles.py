@@ -2,11 +2,14 @@
 
 Everything here deliberately avoids the package's own code paths: the PRNG
 oracle runs on numpy's wrapping uint64 arithmetic, the loss/gradient oracle
-uses finite differences of a from-scratch sigmoid, and the mean oracle is a
-plain left fold.  Agreement between package and oracle is the evidence.
+uses finite differences of a from-scratch sigmoid, the mean oracle is a
+plain left fold, and the standardization oracle uses exact fractions.
+Agreement between package and oracle is the evidence.
 """
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -57,3 +60,19 @@ def fold_mean(values) -> float:
     for v in values:
         total = total + v
     return total / len(values)
+
+
+def exact_standardize(xs) -> tuple[list[float], Decimal]:
+    """Standardized values and the sample std (n - 1) of ``xs``, from an exact
+    rational mean and exact squared deviations; only the square root and
+    the final divisions round, to 60 digits, before the outputs round to
+    the nearest float."""
+    n = len(xs)
+    mean = sum(map(Fraction, xs)) / n
+    devs = [Fraction(x) - mean for x in xs]
+    var = sum(d * d for d in devs) / (n - 1)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        s = (Decimal(var.numerator) / Decimal(var.denominator)).sqrt()
+        zs = [float(Decimal(d.numerator) / Decimal(d.denominator) / s) for d in devs]
+    return zs, s

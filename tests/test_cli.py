@@ -1,6 +1,12 @@
 """Command-line behaviour: flag parsing, base-port precedence, the four
 exit codes, and a live two-node run driven entirely through main()."""
 
+import os
+import shutil
+import subprocess
+import sys
+import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -8,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import fedforge.cli as cli
+from test_golden import CLIQUE_PAYLOADS, CLIQUE_ROUNDS, CLIQUE_SPLIT_SEED
 from fedforge.cli import (
     BASE_PORT_ENV,
     EXIT_OK,
@@ -18,6 +25,7 @@ from fedforge.cli import (
     main,
 )
 from fedforge.errors import FedforgeError
+from fedforge.engine import CallbackPair, fl_decentralized
 from fedforge.launcher import (
     DEFAULT_WATCHDOG_SECONDS,
     LaunchResult,
@@ -25,6 +33,18 @@ from fedforge.launcher import (
     LaunchTimeoutError,
     _build_node_command,
 )
+from fedforge.logreg import (
+    TEST_FRACTION,
+    ModelVector,
+    bundled_sna_path,
+    cb_cent_client,
+    cb_decent_server,
+    load_sna_csv,
+    partition_horizontal,
+    serialize_model,
+    split,
+)
+from fedforge.sim import run_nodes, sim_transport
 from fedforge.transport import DEFAULT_BASE_PORT, free_base_port
 
 HEADER = "User ID,Gender,Age,EstimatedSalary,Purchased\n"
@@ -236,6 +256,82 @@ def test_two_node_run_through_main(csv_path, tmp_path, capsys):
     assert len(blobs[0]) == 16 and blobs[0] == blobs[1]
     printed = capsys.readouterr().out
     assert "node 0: b0=" in printed and "node 1: b0=" in printed
+
+
+def clique_argv(node_id, port, out, rounds=CLIQUE_ROUNDS):
+    """``fedforge node`` argv of the golden 2-node clique over the bundled data."""
+    return node_argv(bundled_sna_path(), id=node_id, algo="decentralized",
+                     iters=rounds, seed=CLIQUE_SPLIT_SEED, base_port=port, out=out)
+
+
+def test_clique_trains_own_update_once_per_run(tmp_path, monkeypatch, capsys):
+    """Per node, one training per peer broadcast served and one for its own
+    update: R + 1 calls, where training the own update every round made 2R.
+    The payloads are those of the path that retrains it every round."""
+    rounds = 3
+    calls = Counter()
+
+    def counting_client(*args, **kwargs):
+        calls[threading.get_ident()] += 1
+        return cb_cent_client(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "cb_cent_client", counting_client)
+    port = free_base_port(2)
+    outs = [tmp_path / f"node{i}.bin" for i in (0, 1)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        codes = list(pool.map(main, [clique_argv(i, port, outs[i], rounds) for i in (0, 1)]))
+    assert codes == [EXIT_OK, EXIT_OK]
+    assert sorted(calls.values()) == [rounds + 1, rounds + 1]
+
+    data = split(load_sna_csv(bundled_sna_path()), TEST_FRACTION, CLIQUE_SPLIT_SEED)
+    parts = partition_horizontal(data.X_train, data.y_train, 2)
+    assert parts[0] != parts[1]
+    zero = serialize_model(ModelVector(0.0, 0.0))
+    retrained = CallbackPair(server_fn=cb_decent_server, client_fn=cb_cent_client)
+    want = run_nodes(sim_transport(2), lambda handle: fl_decentralized(
+        handle, retrained, zero, parts[handle.config.node_id], iterations=rounds))
+    assert [p.read_bytes() for p in outs] == want
+    assert want[0] != want[1]
+
+
+def other_interpreter() -> str | None:
+    """The first python3.12, 3.13 or 3.14 on PATH that runs and is not this
+    interpreter's version."""
+    for name in ("python3.12", "python3.13", "python3.14"):
+        path = shutil.which(name)
+        if path is None:
+            continue
+        try:
+            probe = subprocess.run([path, "-c", "import sys; print(sys.version_info[:2])"],
+                                   capture_output=True, text=True, timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if probe.returncode == 0 and probe.stdout.strip() != str(sys.version_info[:2]):
+            return path
+    return None
+
+
+def test_mixed_interpreter_clique_writes_golden_bytes(tmp_path):
+    """Node 0 on this interpreter, node 1 on another CPython: both end with
+    the golden payloads, so the zero-ulp chain holds across interpreters."""
+    other = other_interpreter()
+    if other is None:
+        pytest.skip("no other python3.12/3.13/3.14 on PATH")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    port = free_base_port(2)
+    outs = [tmp_path / f"node{i}.bin" for i in (0, 1)]
+    procs = [subprocess.Popen([exe, "-m", "fedforge", *clique_argv(i, port, outs[i])],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+             for i, exe in enumerate([sys.executable, other])]
+    try:
+        logs = [proc.communicate(timeout=60)[0] for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.communicate()
+    assert [proc.returncode for proc in procs] == [EXIT_OK, EXIT_OK], logs
+    assert tuple(p.read_bytes() for p in outs) == CLIQUE_PAYLOADS
 
 
 def test_launch_subcommand_end_to_end(csv_path, tmp_path, capsys):

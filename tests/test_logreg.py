@@ -4,12 +4,13 @@
 
 import math
 import struct
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import fd_gradient, fold_mean, shuffle_replay
+from oracles import exact_standardize, fd_gradient, fold_mean, shuffle_replay
 from fedforge.logreg import (
     Dataset,
     ModelVector,
@@ -247,12 +248,56 @@ def test_normalize_constant_input_with_inexact_mean():
     assert len(set(zs)) == 1
 
 
+def normalize_bound(xs) -> float:
+    """The rounding bound ``normalize`` states for each of its outputs."""
+    n = len(xs)
+    _, s = exact_standardize(xs)
+    eps, eta, top = (Decimal(v) for v in (2.0 ** -53, 2.0 ** -1074, max(map(abs, xs))))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float(2 * ctx.sqrt(n) * ((n * eps * top + eta) / s + (n + 6) * eps))
+
+
+# The spread is small against the values, so the rounding of the mean shows
+# (3.1e-11).
+CANCELLING = [2.0, 2.00001]
+# The squared deviations are subnormal: summed as they are, they gave a std
+# 0.1% off, so that normalizing once gave +-0.706443 and twice +-0.707107.
+SUBNORMAL_SQUARES = [0.0, 6.138059922634012e-161]
+
+
 @given(st.lists(st.floats(min_value=0.0, max_value=1000.0), min_size=2, max_size=100)
        .filter(lambda xs: len(set(xs)) > 1))
+@example(CANCELLING)
+@example(SUBNORMAL_SQUARES)
 def test_normalize_idempotent_on_standardized_data(xs):
+    # Exact standardization is idempotent, so the two calls may differ only
+    # by their stated rounding bounds.
     once = normalize(xs)
     twice = normalize(once)
-    assert all(abs(a - b) < 1e-12 for a, b in zip(once, twice))
+    tolerance = normalize_bound(xs) + normalize_bound(once)
+    assert all(abs(a - b) <= tolerance for a, b in zip(once, twice))
+
+
+@given(st.lists(st.floats(min_value=-1e150, max_value=1e150), min_size=2, max_size=50)
+       .filter(lambda xs: len(set(xs)) > 1))
+@example(CANCELLING)
+@example(SUBNORMAL_SQUARES)
+@example([0.0, 5e-324])
+def test_normalize_meets_stated_bound(xs):
+    want, _ = exact_standardize(xs)
+    bound = normalize_bound(xs)
+    assert all(abs(a - b) <= bound for a, b in zip(normalize(xs), want))
+
+
+@pytest.mark.parametrize("xs", [SUBNORMAL_SQUARES, [0.0, 1e-300], [-5e-324, 5e-324]],
+                         ids=["subnormal-squares", "zero-squares", "subnormal-values"])
+def test_normalize_tiny_spreads_standardize_fully(xs):
+    # Squares that underflow are summed after scaling by a power of two, so
+    # the std is right to a few ulps and a second call changes no more.
+    once = normalize(xs)
+    assert once == pytest.approx([-math.sqrt(0.5), math.sqrt(0.5)], rel=2 ** -50, abs=0)
+    assert normalize(once) == pytest.approx(once, rel=2 ** -50, abs=0)
 
 
 def test_normalize_empty_rejected():

@@ -25,9 +25,11 @@ from fedforge.transport import (
     TransportError,
     decode_frame,
     encode_frame,
+    free_base_port,
     read_frame,
     start_node,
 )
+import fedforge.transport as transport
 
 valid_frames = st.one_of(
     st.builds(Frame, kind=st.just(HELLO), phase=st.just(0),
@@ -311,6 +313,46 @@ def test_spoofed_src_fails_the_stream(port_for):
                 with pytest.raises(TransportError, match="node 1") as failure:
                     handle.recv()
                 assert not isinstance(failure.value, TransportClosedError)
+
+
+def test_dial_drops_a_self_connected_socket(port_for, monkeypatch):
+    """A socket that leaves from the port it dials connects to itself at
+    once; the dialer must drop it and redial until the peer listens."""
+    port = port_for(1)
+    real_socket = socket.socket
+    dials, listeners = [], []
+
+    def dial_socket(*args, **kwargs):
+        sock = real_socket(*args, **kwargs)
+        if not dials:  # the first dial leaves from the port it dials
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind(("127.0.0.1", port))
+        else:  # the peer listens by the redial
+            listener = real_socket(socket.AF_INET, socket.SOCK_STREAM)
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind(("127.0.0.1", port))
+            listener.listen(1)
+            listeners.append(listener)
+        dials.append(sock)
+        return sock
+
+    monkeypatch.setattr(transport.socket, "socket", dial_socket)
+    sock = transport._connect(port, time.monotonic() + 5)
+    monkeypatch.undo()
+    try:
+        assert sock.getsockname() != sock.getpeername()
+        assert sock is dials[1] and dials[0].fileno() == -1  # the first one is closed
+    finally:
+        sock.close()
+        for listener in listeners:
+            listener.close()
+
+
+@pytest.mark.parametrize("n", [1, 3, 16])
+def test_free_base_port_below_local_port_range(n):
+    base = free_base_port(n)
+    assert 10000 <= base and base + n <= 32768  # Linux starts its local range at 32768
+    assert free_base_port(n, lo=base, hi=base + n) == base
 
 
 def test_port_already_bound(port_for):
