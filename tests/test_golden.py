@@ -5,9 +5,9 @@ Standard library only, so any interpreter can run it without pytest:
 
     PYTHONPATH=src python3.13 -m unittest tests.test_golden
 
-The values are those CPython 3.10 and 3.11 have always given.  A float
-``sum()`` would break them on 3.12 and later, whose compensated summation
-rounds differently.
+The values are the bits CPython 3.11 has always given.  A float ``sum()``
+in training would break them on 3.12 and later, whose compensated
+summation rounds differently.
 """
 
 import unittest
