@@ -205,8 +205,9 @@ def normalize(xs: list[float]) -> list[float]:
 
     A zero or undefined std (constant input, single element) degrades to
     pure centering so federated per-partition use stays well-defined.
-    Deviations so small that their squares would underflow are scaled by a
-    power of two first, which changes no other input's result.
+    Deviations so small that their squares would underflow, or so large
+    that their squares could overflow, are scaled by a power of two first,
+    which changes no other input's result.
 
     Rounding bound: each output lies within
     ``2 * sqrt(n) * ((n * eps * max|x| + eta) / s + (n + 6) * eps)`` of the
@@ -224,9 +225,10 @@ def normalize(xs: list[float]) -> list[float]:
     mean = total / n
     devs = [x - mean for x in xs]
     top = max(map(abs, devs))
-    if 0.0 < top < _TINY_DEVIATION:
-        # Squares this small round in the subnormal range; scaling every
-        # deviation by one power of two is exact and keeps them normal.
+    if 0.0 < top < _TINY_DEVIATION or top > _HUGE_DEVIATION:
+        # Squares this small round in the subnormal range, and squares this
+        # large may overflow; scaling every deviation by one power of two is
+        # exact and brings the largest into [0.5, 1).
         devs = [math.ldexp(d, -math.frexp(top)[1]) for d in devs]
     squares = 0.0
     for d in devs:
@@ -240,6 +242,9 @@ def normalize(xs: list[float]) -> list[float]:
 # From this largest deviation up, the squares' sum is at least 2**-960, so
 # squares rounded in the subnormal range change it by under 2**-115 each.
 _TINY_DEVIATION = 2.0 ** -480
+# Up to this largest deviation, n squares sum to under n * 2**960, which
+# stays finite for any list that fits in memory.
+_HUGE_DEVIATION = 2.0 ** 480
 
 
 def _sigmoid(t: float) -> float:

@@ -15,12 +15,22 @@ make runs reproducible:
 Quiescence also gives free deadlock detection: if nobody is running and no
 delivery is possible, the run can never progress and the simulator raises
 instead of hanging.
+
+Each node runs on its own thread, because ``run_nodes`` takes a blocking
+``node_fn`` (an engine that calls ``recv`` and waits for its answer), and
+a blocked call needs a stack to wait on.  What the threads cost is their
+hand-offs, so each delivery wakes exactly one of them: every node waits on
+its own lock, and the node that makes the network quiescent picks the next
+delivery and releases only its receiver's lock.  ``send``, ``close`` and
+entering ``recv`` wake nobody; a terminal state (a stall, or every peer
+finished) wakes every waiting node.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 from .rng import SplitMix64
 from .transport import (
@@ -134,32 +144,49 @@ class SimNetwork:
     def __init__(self, n_nodes: int, schedule):
         self.n_nodes = n_nodes
         self.schedule = schedule
-        self.cond = threading.Condition()
+        self.lock = threading.Lock()
+        # wake[n] is held while node n has nothing to return from recv; the
+        # node blocks on acquiring it, and whoever wakes the node releases it
+        self.wake = [threading.Lock() for _ in range(n_nodes)]
+        for wake in self.wake:
+            wake.acquire()
         self.state = [_RUNNING] * n_nodes
+        self.running = n_nodes
         self.ready: list[Message | None] = [None] * n_nodes
         self.peer_gone: list[bool] = [False] * n_nodes
         self.stalled: str | None = None
-        # in_flight[dst][src] -> list of (seq, pair_index, Message), oldest first
-        self.in_flight: list[dict[int, list[tuple[int, int, Message]]]] = [
-            {} for _ in range(n_nodes)
+        # in_flight[dst][src]: that pair's undelivered messages, oldest first
+        self.in_flight: list[list[deque[Candidate]]] = [
+            [deque() for _ in range(n_nodes)] for _ in range(n_nodes)
         ]
-        self.pair_sent: dict[tuple[int, int], int] = {}
+        self.pair_sent = [[0] * n_nodes for _ in range(n_nodes)]  # [dst][src]
         self.next_seq = 0
         self.delivery_log: list[tuple[int, int, int, int]] = []  # (dst, src, seq, phase)
 
-    # All helpers below assume self.cond is held.
+    def await_wake(self, node: int) -> None:
+        """Block, without the lock, until ``node`` leaves _WAITING.  Whoever
+        moves it out releases its wake lock exactly once; the 0.5 s timeout
+        only retries the delivery in case a wake-up was ever lost."""
+        wake = self.wake[node]
+        while not wake.acquire(timeout=0.5):
+            with self.lock:
+                if self.state[node] != _WAITING:
+                    wake.acquire(blocking=False)  # released as the wait timed out
+                    return
+                self._try_deliver()
+
+    # All helpers below assume self.lock is held.
 
     def _candidates(self, dst: int) -> list[Candidate]:
-        out = []
-        for src in sorted(self.in_flight[dst]):
-            pending = self.in_flight[dst][src]
-            if pending:
-                seq, pair_index, message = pending[0]
-                out.append(Candidate(src, pair_index, seq, message))
-        return out
+        return [pending[0] for pending in self.in_flight[dst] if pending]
+
+    def _wake(self, node: int) -> None:
+        self.state[node] = _RUNNING
+        self.running += 1
+        self.wake[node].release()
 
     def _try_deliver(self) -> None:
-        if any(s == _RUNNING for s in self.state):
+        if self.running:
             return
         waiting = [n for n in range(self.n_nodes) if self.state[n] == _WAITING]
         if not waiting:
@@ -171,18 +198,18 @@ class SimNetwork:
             chosen = self.schedule.choose(node, candidates)
             if chosen is None:
                 continue
-            self.in_flight[node][chosen.src].pop(0)
+            self.in_flight[node][chosen.src].popleft()
             self.ready[node] = chosen.message
-            self.state[node] = _RUNNING
             self.delivery_log.append((node, chosen.src, chosen.seq, chosen.message.phase))
-            self.cond.notify_all()
+            self._wake(node)
             return
         # Nobody is running and nothing can be delivered: terminal state.
         if len(waiting) == 1 and not self._candidates(waiting[0]):
             self.peer_gone[waiting[0]] = True
         else:
             self.stalled = f"nodes {waiting} wait forever (no deliverable message)"
-        self.cond.notify_all()
+        for node in waiting:
+            self._wake(node)
 
 
 class SimTransport:
@@ -197,57 +224,50 @@ class SimTransport:
     def send(self, dst: int, msg: Message) -> None:
         net = self._net
         self.config.check_destination(dst)
-        with net.cond:
+        with net.lock:
             if self._closed:
                 raise TransportError("send on closed sim transport")
             src = self.config.node_id
-            pair = (src, dst)
-            pair_index = net.pair_sent.get(pair, 0)
-            net.pair_sent[pair] = pair_index + 1
-            net.in_flight[dst].setdefault(src, []).append((net.next_seq, pair_index, msg))
+            pair_index = net.pair_sent[dst][src]
+            net.pair_sent[dst][src] = pair_index + 1
+            net.in_flight[dst][src].append(Candidate(src, pair_index, net.next_seq, msg))
             net.next_seq += 1
             self.stats.data_sent += 1
-            net.cond.notify_all()
 
     def recv(self) -> Message:
         net = self._net
         me = self.config.node_id
-        with net.cond:
+        with net.lock:
             if self._closed:
                 raise TransportClosedError("recv on closed sim transport")
-            net.state[me] = _WAITING
-            net.cond.notify_all()
-            while True:
-                msg = net.ready[me]
-                if msg is not None:
-                    net.ready[me] = None
-                    self.stats.data_received += 1
-                    return msg
-                if net.stalled is not None:
-                    net.state[me] = _RUNNING
-                    raise SimStallError(net.stalled)
-                if net.peer_gone[me]:
-                    net.state[me] = _RUNNING
-                    raise TransportClosedError(
-                        f"node {me}: all peers finished and no message is in flight"
-                    )
+            waits = net.stalled is None and not net.peer_gone[me]
+            if waits:
+                net.state[me] = _WAITING
+                net.running -= 1
                 net._try_deliver()
-                if (
-                    net.ready[me] is None
-                    and net.stalled is None
-                    and not net.peer_gone[me]
-                ):
-                    net.cond.wait(timeout=0.5)
+        if waits:
+            net.await_wake(me)
+        msg = net.ready[me]
+        if msg is not None:
+            net.ready[me] = None
+            self.stats.data_received += 1
+            return msg
+        if net.stalled is not None:
+            raise SimStallError(net.stalled)
+        raise TransportClosedError(
+            f"node {me}: all peers finished and no message is in flight"
+        )
 
     def close(self) -> None:
         net = self._net
-        with net.cond:
+        with net.lock:
             if self._closed:
                 return
             self._closed = True
+            if net.state[self.config.node_id] == _RUNNING:
+                net.running -= 1
             net.state[self.config.node_id] = _DONE
             net._try_deliver()
-            net.cond.notify_all()
 
     def __enter__(self) -> "SimTransport":
         return self

@@ -200,17 +200,20 @@ class TcpTransport:
         self._inbox: deque[Message | TransportError] = deque()
         # streams that have not ended, each with its peer id and unread bytes
         self._live = {sock: (peer, bytearray()) for peer, sock in peers.items()}
+        # every read lands here first: a fresh bytes object as large as
+        # _CHUNK per read would cost an mmap and munmap in glibc malloc
+        self._chunk = memoryview(bytearray(_CHUNK))
 
     def _read(self, sock: socket.socket) -> None:
         """Move the complete frames that have arrived on one stream into the inbox."""
         peer, buf = self._live[sock]
         try:
-            chunk = sock.recv(_CHUNK)
-            if not chunk:  # the stream ended
+            size = sock.recv_into(self._chunk)
+            if not size:  # the stream ended
                 if buf:
                     raise FramingError("connection closed mid-frame")
                 del self._live[sock]
-            buf += chunk
+            buf += self._chunk[:size]
             while len(buf) >= _LEN_PREFIX.size:
                 end = _LEN_PREFIX.size + _LEN_PREFIX.unpack_from(buf)[0]
                 if len(buf) < end:

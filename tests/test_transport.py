@@ -6,6 +6,7 @@ import itertools
 import socket
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -424,6 +425,25 @@ def test_stats_count_data_frames(port_for):
         assert handles[0].stats.data_received == 0
         assert handles[1].stats.data_received == 3
     finally:
+        close_all(handles)
+
+
+def test_small_reads_allocate_little(port_for):
+    """Reading a small frame must not allocate a read-sized buffer: a
+    256 KiB request per read goes through mmap in glibc malloc."""
+    handles = start_all(2, port_for(2))
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for i in range(100):
+            handles[0].send(1, Message(1, 0, bytes([i]) * 16))
+            assert handles[1].recv().payload == bytes([i]) * 16
+            handles[1].send(0, Message(2, 1, bytes([i]) * 16))
+            assert handles[0].recv().payload == bytes([i]) * 16
+        assert tracemalloc.get_traced_memory()[1] - baseline < 64 * 1024
+    finally:
+        tracemalloc.stop()
         close_all(handles)
 
 
