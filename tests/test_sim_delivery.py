@@ -10,8 +10,6 @@ import sys
 import threading
 import time
 
-import pytest
-
 from fedforge.engine import CallbackPair, fl_centralized, fl_decentralized
 from fedforge.sim import (
     FifoSchedule,
