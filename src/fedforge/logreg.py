@@ -205,9 +205,9 @@ def normalize(xs: list[float]) -> list[float]:
 
     A zero or undefined std (constant input, single element) degrades to
     pure centering so federated per-partition use stays well-defined.
-    Deviations so small that their squares would underflow, or so large
-    that their squares could overflow, are scaled by a power of two first,
-    which changes no other input's result.
+    Inputs so small that their deviations' squares could underflow, or so
+    large that their sums could overflow, are scaled by a power of two
+    first; the result is a ratio, so no other input's result changes.
 
     Rounding bound: each output lies within
     ``2 * sqrt(n) * ((n * eps * max|x| + eta) / s + (n + 6) * eps)`` of the
@@ -219,17 +219,17 @@ def normalize(xs: list[float]) -> list[float]:
     if not xs:
         raise ValueError("cannot normalize an empty vector")
     n = len(xs)
+    top = max(map(abs, xs))
+    if 0.0 < top < _TINY_INPUT or top > _HUGE_INPUT:
+        # Scaling every input by one power of two is exact here (an input
+        # that underflows is far below the mean's rounding) and brings the
+        # largest into [0.5, 1).
+        xs = [math.ldexp(x, -math.frexp(top)[1]) for x in xs]
     total = 0.0
     for x in xs:
         total = total + x
     mean = total / n
     devs = [x - mean for x in xs]
-    top = max(map(abs, devs))
-    if 0.0 < top < _TINY_DEVIATION or top > _HUGE_DEVIATION:
-        # Squares this small round in the subnormal range, and squares this
-        # large may overflow; scaling every deviation by one power of two is
-        # exact and brings the largest into [0.5, 1).
-        devs = [math.ldexp(d, -math.frexp(top)[1]) for d in devs]
     squares = 0.0
     for d in devs:
         squares = squares + d ** 2
@@ -239,12 +239,15 @@ def normalize(xs: list[float]) -> list[float]:
     return [d / s for d in devs]
 
 
-# From this largest deviation up, the squares' sum is at least 2**-960, so
-# squares rounded in the subnormal range change it by under 2**-115 each.
-_TINY_DEVIATION = 2.0 ** -480
-# Up to this largest deviation, n squares sum to under n * 2**960, which
-# stays finite for any list that fits in memory.
-_HUGE_DEVIATION = 2.0 ** 480
+# From this largest input up, a nonzero largest deviation is at least
+# 2**-455: deviations among values this close to the largest are multiples
+# of its half ulp.  The squares' sum is then at least 2**-910, so squares
+# rounded in the subnormal range change it by under 2**-160 each.
+_TINY_INPUT = 2.0 ** -400
+# Up to this largest input, n inputs sum to under n * 2**480 and n squared
+# deviations (each under 2**962) to under n * 2**962, which stays finite
+# for any list that fits in memory.
+_HUGE_INPUT = 2.0 ** 480
 
 
 def _sigmoid(t: float) -> float:

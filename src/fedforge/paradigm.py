@@ -184,99 +184,57 @@ def compare_reports(ref: RunReport, cand: RunReport, eps: float,
     )
 
 
-def _read_payload(out_dir, node_id: int, leg: str) -> bytes:
-    path = node_out_path(out_dir, node_id)
-    if not path.is_file():
-        raise SuiteError(f"{leg}: node {node_id} left no result file at {path}")
-    return path.read_bytes()
-
-
-def _run_leg(spec: LaunchSpec, leg: str, echo) -> None:
+def _phase4(spec: LaunchSpec, expected: RunReport, data) -> EquivalenceReport:
+    """Launch one stage-4 leg and compare every node's payload with
+    ``expected`` at eps 0.  The star's server holds the aggregate, so its
+    payload goes last; a clique's last node fills the aggregate slot."""
+    leg = f"phase 4 {spec.algorithm} leg"
     try:
-        result = launch(spec, echo=echo)
+        result = launch(spec, echo=lambda line: None)
     except FedforgeError as exc:
         raise SuiteError(f"{leg}: {exc}") from exc
     if any(code != 0 for code in result.exit_codes):
         raise SuiteError(f"{leg}: node exit codes {result.exit_codes}")
+    ids = list(range(spec.n_nodes))
+    if spec.algorithm == "centralized":
+        ids.append(ids.pop(spec.srv_id))
+    models = []
+    for node_id in ids:
+        path = node_out_path(spec.out_dir, node_id)
+        if not path.is_file():
+            raise SuiteError(f"{leg}: node {node_id} left no result file at {path}")
+        models.append(deserialize_model(path.read_bytes()))
+    accuracy = evaluate(data.X_test, data.y_test, models[-1]).accuracy
+    return compare_reports(expected, RunReport(models, accuracy, phase=4), 0.0)
 
 
 def run_equivalence_suite(dataset_path, split_seed: int = DEFAULT_SPLIT_SEED,
-                          cfg: TrainConfig = TrainConfig(),
-                          base_port: int | None = None,
-                          out_dir=None, echo=None) -> list[EquivalenceReport]:
+                          out_dir=None) -> list[EquivalenceReport]:
     """Run all four stages and return the report chain.
 
-    Stages 1-3 run in this process; stage 4 spawns a 3-node centralized run
-    and a 2-node decentralized run through the real launcher and sockets.
-    The decentralized report is the worst case over both nodes' payloads.
-    Failed comparisons come back as reports with ``passed=False``; only
-    operational problems (spawn failures, bad exits, missing files) raise.
+    Stages 1-3 run in this process with the default ``TrainConfig``, the
+    one node processes train with.  Stage 4 launches a 3-node centralized
+    run and a 2-node decentralized run through the real launcher and
+    sockets; every node's payload must equal its stage-3 counterpart, and
+    each clique node the stage-3 aggregate.  Failed comparisons come back
+    as reports with ``passed=False``; only operational problems (spawn
+    failures, bad exits, missing files) raise.
     """
-    if cfg != TrainConfig():
-        # Node processes always train with the default configuration; a
-        # different cfg here would compare unlike computations.
-        raise ValueError("the distributed legs only support the default TrainConfig")
-    if echo is None:
-        echo = lambda line: None
-
     ds = load_sna_csv(dataset_path)
     data = split(ds, TEST_FRACTION, split_seed)
-
-    r1 = phase1_seq_base_case(ds, split_seed, cfg)
-    r2 = phase2_federated_sequential(ds, split_seed, cfg, k=2)
-    r3 = phase3_federated_callbacks(ds, split_seed, cfg, k=2)
-    reports = [
-        compare_reports(r1, r2, COEFF_DRIFT_EPS, acc_eps=0.0),
-        compare_reports(r2, r3, 0.0),
-    ]
-
+    r1 = phase1_seq_base_case(ds, split_seed)
+    r2 = phase2_federated_sequential(ds, split_seed, k=2)
+    r3 = phase3_federated_callbacks(ds, split_seed, k=2)
+    clique_expected = RunReport((r3.aggregate,) * 2, r3.accuracy, phase=3)
     with tempfile.TemporaryDirectory(prefix="fedforge-suite-") as tmp:
         work = Path(out_dir) if out_dir is not None else Path(tmp)
-
-        cent_dir = work / "centralized"
-        cent_spec = LaunchSpec(
-            n_nodes=3, algorithm="centralized", dataset_path=dataset_path,
-            srv_id=0, base_port=base_port or free_base_port(3),
-            split_seed=split_seed, out_dir=cent_dir,
-        )
-        _run_leg(cent_spec, "phase 4 centralized leg", echo)
-        client_ids = [i for i in range(3) if i != cent_spec.srv_id]
-        payloads = [_read_payload(cent_dir, i, "phase 4 centralized leg")
-                    for i in (*client_ids, cent_spec.srv_id)]
-        models = tuple(deserialize_model(p) for p in payloads)
-        r4c = RunReport(
-            models=models,
-            accuracy=evaluate(data.X_test, data.y_test, models[-1]).accuracy,
-            phase=4,
-        )
-        reports.append(compare_reports(r3, r4c, 0.0))
-
-        dec_dir = work / "decentralized"
-        dec_spec = LaunchSpec(
-            n_nodes=2, algorithm="decentralized", dataset_path=dataset_path,
-            base_port=base_port or free_base_port(2),
-            split_seed=split_seed, out_dir=dec_dir,
-        )
-        _run_leg(dec_spec, "phase 4 decentralized leg", echo)
-        per_node = []
-        for node_id in range(2):
-            model = deserialize_model(_read_payload(dec_dir, node_id,
-                                                    "phase 4 decentralized leg"))
-            r4d = RunReport(
-                models=(model,),
-                accuracy=evaluate(data.X_test, data.y_test, model).accuracy,
-                phase=4,
-            )
-            per_node.append(compare_reports(r3, r4d, 0.0))
-        reports.append(EquivalenceReport(
-            reference_phase=3,
-            candidate_phase=4,
-            err_b0=max(r.err_b0 for r in per_node),
-            err_b1=max(r.err_b1 for r in per_node),
-            accuracy_delta=max(r.accuracy_delta for r in per_node),
-            eps=0.0,
-            acc_eps=0.0,
-            passed=all(r.passed for r in per_node),
-        ))
-
-    return reports
+        return [
+            compare_reports(r1, r2, COEFF_DRIFT_EPS, acc_eps=0.0),
+            compare_reports(r2, r3, 0.0),
+            _phase4(LaunchSpec(n_nodes=3, algorithm="centralized", dataset_path=dataset_path,
+                               base_port=free_base_port(3), split_seed=split_seed,
+                               out_dir=work / "centralized"), r3, data),
+            _phase4(LaunchSpec(n_nodes=2, algorithm="decentralized", dataset_path=dataset_path,
+                               base_port=free_base_port(2), split_seed=split_seed,
+                               out_dir=work / "decentralized"), clique_expected, data),
+        ]

@@ -18,16 +18,20 @@ instead of hanging.
 
 Each node runs on its own thread, because ``run_nodes`` takes a blocking
 ``node_fn`` (an engine that calls ``recv`` and waits for its answer), and
-a blocked call needs a stack to wait on.  What the threads cost is their
-hand-offs, so each delivery wakes exactly one of them: every node waits on
-its own lock, and the node that makes the network quiescent picks the next
-delivery and releases only its receiver's lock.  ``send``, ``close`` and
-entering ``recv`` wake nobody; a terminal state (a stall, or every peer
-finished) wakes every waiting node.
+a blocked call needs a stack to wait on.  Each node has one inbox queue.
+Whatever moves a node out of its wait in ``recv`` puts exactly one item
+into that inbox: the delivered message, or the error of a terminal state
+(a stall, or every peer finished).  ``recv`` takes one item per wait, so
+an inbox never holds more than one, and an item once put cannot be missed.
+The node that makes the network quiescent picks the next delivery and
+puts it in its receiver's inbox, so each delivery is one hand-off between
+threads.  A terminal error is also kept per node, and every later
+``recv`` of that node raises it again at once.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -145,16 +149,11 @@ class SimNetwork:
         self.n_nodes = n_nodes
         self.schedule = schedule
         self.lock = threading.Lock()
-        # wake[n] is held while node n has nothing to return from recv; the
-        # node blocks on acquiring it, and whoever wakes the node releases it
-        self.wake = [threading.Lock() for _ in range(n_nodes)]
-        for wake in self.wake:
-            wake.acquire()
+        self.inbox = [queue.SimpleQueue() for _ in range(n_nodes)]
+        # error[n]: the terminal state's error, raised by every later recv of n
+        self.error: list[TransportError | None] = [None] * n_nodes
         self.state = [_RUNNING] * n_nodes
         self.running = n_nodes
-        self.ready: list[Message | None] = [None] * n_nodes
-        self.peer_gone: list[bool] = [False] * n_nodes
-        self.stalled: str | None = None
         # in_flight[dst][src]: that pair's undelivered messages, oldest first
         self.in_flight: list[list[deque[Candidate]]] = [
             [deque() for _ in range(n_nodes)] for _ in range(n_nodes)
@@ -163,27 +162,15 @@ class SimNetwork:
         self.next_seq = 0
         self.delivery_log: list[tuple[int, int, int, int]] = []  # (dst, src, seq, phase)
 
-    def await_wake(self, node: int) -> None:
-        """Block, without the lock, until ``node`` leaves _WAITING.  Whoever
-        moves it out releases its wake lock exactly once; the 0.5 s timeout
-        only retries the delivery in case a wake-up was ever lost."""
-        wake = self.wake[node]
-        while not wake.acquire(timeout=0.5):
-            with self.lock:
-                if self.state[node] != _WAITING:
-                    wake.acquire(blocking=False)  # released as the wait timed out
-                    return
-                self._try_deliver()
-
     # All helpers below assume self.lock is held.
 
     def _candidates(self, dst: int) -> list[Candidate]:
         return [pending[0] for pending in self.in_flight[dst] if pending]
 
-    def _wake(self, node: int) -> None:
+    def _resume(self, node: int, item: Message | TransportError) -> None:
         self.state[node] = _RUNNING
         self.running += 1
-        self.wake[node].release()
+        self.inbox[node].put(item)
 
     def _try_deliver(self) -> None:
         if self.running:
@@ -199,17 +186,18 @@ class SimNetwork:
             if chosen is None:
                 continue
             self.in_flight[node][chosen.src].popleft()
-            self.ready[node] = chosen.message
             self.delivery_log.append((node, chosen.src, chosen.seq, chosen.message.phase))
-            self._wake(node)
+            self._resume(node, chosen.message)
             return
         # Nobody is running and nothing can be delivered: terminal state.
         if len(waiting) == 1 and not self._candidates(waiting[0]):
-            self.peer_gone[waiting[0]] = True
+            error = TransportClosedError(
+                f"node {waiting[0]}: all peers finished and no message is in flight")
         else:
-            self.stalled = f"nodes {waiting} wait forever (no deliverable message)"
+            error = SimStallError(f"nodes {waiting} wait forever (no deliverable message)")
         for node in waiting:
-            self._wake(node)
+            self.error[node] = error
+            self._resume(node, error)
 
 
 class SimTransport:
@@ -240,23 +228,17 @@ class SimTransport:
         with net.lock:
             if self._closed:
                 raise TransportClosedError("recv on closed sim transport")
-            waits = net.stalled is None and not net.peer_gone[me]
-            if waits:
+            item = net.error[me]
+            if item is None:
                 net.state[me] = _WAITING
                 net.running -= 1
                 net._try_deliver()
-        if waits:
-            net.await_wake(me)
-        msg = net.ready[me]
-        if msg is not None:
-            net.ready[me] = None
-            self.stats.data_received += 1
-            return msg
-        if net.stalled is not None:
-            raise SimStallError(net.stalled)
-        raise TransportClosedError(
-            f"node {me}: all peers finished and no message is in flight"
-        )
+        if item is None:
+            item = net.inbox[me].get()
+        if isinstance(item, TransportError):
+            raise type(item)(*item.args)
+        self.stats.data_received += 1
+        return item
 
     def close(self) -> None:
         net = self._net
@@ -264,9 +246,12 @@ class SimTransport:
             if self._closed:
                 return
             self._closed = True
-            if net.state[self.config.node_id] == _RUNNING:
+            me = self.config.node_id
+            if net.state[me] == _RUNNING:
                 net.running -= 1
-            net.state[self.config.node_id] = _DONE
+            elif net.state[me] == _WAITING:  # closed by another thread mid-recv
+                net.inbox[me].put(TransportClosedError("recv on closed sim transport"))
+            net.state[me] = _DONE
             net._try_deliver()
 
     def __enter__(self) -> "SimTransport":
@@ -283,7 +268,7 @@ def sim_transport(
 ) -> list[SimTransport]:
     """Create one connected in-memory transport handle per node.
 
-    There is no hello barrier to wait for: handles are ready immediately,
+    There is no hello barrier to wait for: handles can be used at once,
     which matches the post-barrier state of the TCP transport.
     """
     network = SimNetwork(n_nodes, schedule if schedule is not None else FifoSchedule())
@@ -297,7 +282,6 @@ def sim_transport(
 class _NodeOutcome:
     result: object = None
     error: Exception | None = None
-    failed: bool = False
 
 
 def run_nodes(handles: list[SimTransport], node_fn) -> list:
@@ -315,7 +299,6 @@ def run_nodes(handles: list[SimTransport], node_fn) -> list:
             outcomes[i].result = node_fn(handle)
         except Exception as exc:  # noqa: BLE001 - reported to the caller below
             outcomes[i].error = exc
-            outcomes[i].failed = True
         finally:
             handle.close()
 
@@ -328,7 +311,7 @@ def run_nodes(handles: list[SimTransport], node_fn) -> list:
     for t in threads:
         t.join()
 
-    errors = [o.error for o in outcomes if o.failed]
+    errors = [o.error for o in outcomes if o.error is not None]
     if errors:
         primary = next((e for e in errors if not isinstance(e, SimStallError)), errors[0])
         raise primary

@@ -334,6 +334,19 @@ def test_mixed_interpreter_clique_writes_golden_bytes(tmp_path):
     assert tuple(p.read_bytes() for p in outs) == CLIQUE_PAYLOADS
 
 
+def test_golden_bits_under_other_interpreter():
+    """``tests/test_golden.py`` passes under another CPython too, so its
+    bits do not depend on the interpreter that collects this suite."""
+    other = other_interpreter()
+    if other is None:
+        pytest.skip("no other python3.12/3.13/3.14 on PATH")
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([other, "-m", "unittest", "tests.test_golden"], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_launch_subcommand_end_to_end(csv_path, tmp_path, capsys):
     port = free_base_port(3)
     out_dir = tmp_path / "results"

@@ -300,10 +300,11 @@ def test_normalize_tiny_spreads_standardize_fully(xs):
     assert normalize(once) == pytest.approx(once, rel=2 ** -50, abs=0)
 
 
-@pytest.mark.parametrize("xs", [[-1e300, 1e300], [1e300, 1.5e300]],
-                         ids=["opposite-huge", "huge-spread"])
+@pytest.mark.parametrize("xs", [[-1e300, 1e300], [1e300, 1.5e300], [1e308, 1.7e308]],
+                         ids=["opposite-huge", "huge-spread", "sum-overflows"])
 def test_normalize_huge_spreads_standardize_fully(xs):
-    # Squares that would overflow are summed after scaling by a power of two.
+    # Sums and squares that would overflow are taken after scaling by a
+    # power of two.
     once = normalize(xs)
     assert once == pytest.approx([-math.sqrt(0.5), math.sqrt(0.5)], rel=2 ** -50, abs=0)
     assert normalize(once) == pytest.approx(once, rel=2 ** -50, abs=0)

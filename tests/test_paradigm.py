@@ -218,11 +218,6 @@ def test_report_string_names_phases():
 # -- suite plumbing (stubbed launches) ------------------------------------
 
 
-def test_suite_rejects_custom_config(tmp_path):
-    with pytest.raises(ValueError, match="default TrainConfig"):
-        run_equivalence_suite(tiny_csv(tmp_path), cfg=TrainConfig(epochs=5))
-
-
 def stub_launch(exit_codes):
     def fake(spec, echo=print):
         return LaunchResult(records=[], exit_codes=list(exit_codes))

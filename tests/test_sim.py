@@ -2,6 +2,8 @@
 schedule deterministically, and turn every dead end into an error, not a hang."""
 
 import itertools
+import threading
+import time
 
 import pytest
 
@@ -186,6 +188,26 @@ def test_send_validation_and_closed_handles():
         a.send(1, Message(1, 0, b""))
     with pytest.raises(TransportClosedError):
         a.recv()
+    b.close()
+
+
+def test_close_from_another_thread_ends_a_waiting_recv():
+    a, b = sim_transport(2)
+    raised = []
+
+    def wait():
+        t0 = time.monotonic()
+        with pytest.raises(TransportClosedError):
+            a.recv()
+        raised.append(time.monotonic() - t0)
+
+    waiter = threading.Thread(target=wait, daemon=True)
+    waiter.start()
+    time.sleep(0.05)  # b is still running, so a's recv blocks
+    a.close()
+    waiter.join(timeout=5)
+    assert not waiter.is_alive()
+    assert raised and raised[0] < 0.4
     b.close()
 
 

@@ -92,6 +92,10 @@ def test_stall_wakes_every_waiter():
     for exc, waited in outcomes.values():
         assert isinstance(exc, SimStallError)
         assert waited < 0.4
+    for handle in handles:  # a terminal state stays terminal, one recv at a time
+        exc, waited = _recv_in_threads([handle])[handle.config.node_id]
+        assert isinstance(exc, SimStallError)
+        assert waited < 0.05
     for handle in handles:
         handle.close()
 
@@ -102,6 +106,9 @@ def test_last_waiter_learns_promptly_that_its_peers_are_gone():
     exc, waited = outcomes[2]
     assert isinstance(exc, TransportClosedError)
     assert waited < 0.4
+    exc, waited = _recv_in_threads([last])[2]  # a terminal state stays terminal
+    assert isinstance(exc, TransportClosedError)
+    assert waited < 0.05
     last.close()
 
 
