@@ -166,11 +166,8 @@ def _recv(transport, iteration: int, phase: int) -> Message:
 def _send(transport, dst: int, msg: Message, iteration: int, phase: int) -> None:
     try:
         transport.send(dst, msg)
-    except TransportError as exc:
-        raise EngineError(
-            f"iteration {iteration}, phase {phase}: send to node {dst} "
-            f"failed: {exc}"
-        ) from exc
+    except TransportError as exc:  # a transport's send error names its destination
+        raise EngineError(f"iteration {iteration}, phase {phase}: {exc}") from exc
 
 
 def _run_rounds(transport, callbacks, local_data, private_data, iterations,

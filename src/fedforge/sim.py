@@ -214,7 +214,7 @@ class SimTransport:
         self.config.check_destination(dst)
         with net.lock:
             if self._closed:
-                raise TransportError("send on closed sim transport")
+                raise TransportError(f"send to node {dst} failed: sim transport closed")
             src = self.config.node_id
             pair_index = net.pair_sent[dst][src]
             net.pair_sent[dst][src] = pair_index + 1

@@ -8,6 +8,8 @@ Wire format (all integers big-endian):
 frame with an empty payload has length 4.  ``kind`` is 0 for HELLO and 1 for
 DATA.  HELLO frames carry phase 0 and no payload; DATA frames carry phase 1
 or 2 and an opaque payload that is transported verbatim, bit for bit.
+One header struct and one set of header rules serve :class:`Frame`,
+:func:`encode_frame`, :func:`decode_frame` and the live transport alike.
 
 Each pair of nodes shares one full-duplex TCP stream, set up by
 :func:`start_node` on the calling thread: node i listens on
@@ -19,10 +21,12 @@ HELLO frames are consumed here and never surface to callers.
 
 After the barrier a node runs no thread of its own: its streams turn
 non-blocking, and :class:`TcpTransport` does all I/O on the engine's thread.
-``recv`` waits in ``select`` on every stream that has not ended, cuts what
-arrives into frames and queues their messages in one FIFO inbox, in
-per-sender order since each sender's frames arrive on one stream.  A frame
-that is not DATA from that very peer fails the stream.
+``recv`` waits in ``select`` on every stream that has not ended, reads
+into one preallocated buffer, parses the frames in place there and queues
+their messages in one FIFO inbox, in per-sender order since each sender's
+frames arrive on one stream.  No :class:`Frame` is built for a DATA
+message, sent or received.  A frame that is not DATA from that very peer
+fails the stream.
 """
 
 from __future__ import annotations
@@ -43,9 +47,10 @@ DATA = 1
 DEFAULT_BASE_PORT = 6000
 LOCALHOST = "127.0.0.1"
 
-_LEN_PREFIX = struct.Struct(">I")
-_HEADER = struct.Struct(">BBH")
-_MAX_PAYLOAD = 0xFFFFFFFF - _HEADER.size
+_FRAME = struct.Struct(">IBBH")  # length, kind, phase, src
+_PREFIX = 4  # bytes of the length field, which counts the bytes after it
+_HEADER = _FRAME.size - _PREFIX  # kind, phase and src: the least a length can say
+_MAX_PAYLOAD = 0xFFFFFFFF - _HEADER
 _CHUNK = 1 << 18  # most bytes taken from one stream per read
 
 
@@ -113,16 +118,7 @@ class Frame:
     payload: bytes = b""
 
     def __post_init__(self):
-        if self.kind == HELLO:
-            if self.phase != 0 or self.payload:
-                raise ProtocolError("HELLO frames carry phase 0 and no payload")
-        elif self.kind == DATA:
-            if self.phase not in (1, 2):
-                raise ProtocolError(f"DATA phase must be 1 or 2, got {self.phase}")
-        else:
-            raise ProtocolError(f"unknown frame kind {self.kind}")
-        if not 0 <= self.src <= 0xFFFF:
-            raise ProtocolError(f"src {self.src} does not fit in 16 bits")
+        _check_header(self.kind, self.phase, self.src, len(self.payload))
 
 
 @dataclass(frozen=True)
@@ -142,26 +138,43 @@ class TransportStats:
     data_received: int = 0
 
 
+def _check_header(kind: int, phase: int, src: int, payload_size: int) -> None:
+    """The header rules of every frame: built, encoded, sent or read."""
+    if kind == DATA:
+        if phase not in (1, 2):
+            raise ProtocolError(f"DATA phase must be 1 or 2, got {phase}")
+    elif kind == HELLO:
+        if phase != 0 or payload_size:
+            raise ProtocolError("HELLO frames carry phase 0 and no payload")
+    else:
+        raise ProtocolError(f"unknown frame kind {kind}")
+    if not 0 <= src <= 0xFFFF:
+        raise ProtocolError(f"src {src} does not fit in 16 bits")
+
+
+def _pack(kind: int, phase: int, src: int, payload: bytes) -> bytes:
+    """The wire bytes of one frame, length prefix included."""
+    _check_header(kind, phase, src, len(payload))
+    if len(payload) > _MAX_PAYLOAD:
+        raise EncodingError(f"payload of {len(payload)} bytes exceeds frame limit")
+    return _FRAME.pack(_HEADER + len(payload), kind, phase, src) + payload
+
+
 def encode_frame(frame: Frame) -> bytes:
     """Serialize a frame, length prefix included."""
-    if len(frame.payload) > _MAX_PAYLOAD:
-        raise EncodingError(f"payload of {len(frame.payload)} bytes exceeds frame limit")
-    header = _HEADER.pack(frame.kind, frame.phase, frame.src)
-    return _LEN_PREFIX.pack(_HEADER.size + len(frame.payload)) + header + bytes(frame.payload)
+    return _pack(frame.kind, frame.phase, frame.src, frame.payload)
 
 
 def decode_frame(data: bytes) -> Frame:
     """Inverse of :func:`encode_frame` for one complete frame."""
-    if len(data) < _LEN_PREFIX.size + _HEADER.size:
+    if len(data) < _FRAME.size:
         raise FramingError(f"frame truncated: got {len(data)} bytes")
-    (length,) = _LEN_PREFIX.unpack_from(data, 0)
-    if len(data) != _LEN_PREFIX.size + length:
+    length, kind, phase, src = _FRAME.unpack_from(data)
+    if len(data) != _PREFIX + length:
         raise FramingError(
-            f"frame length mismatch: prefix says {length}, have {len(data) - _LEN_PREFIX.size}"
+            f"frame length mismatch: prefix says {length}, have {len(data) - _PREFIX}"
         )
-    kind, phase, src = _HEADER.unpack_from(data, _LEN_PREFIX.size)
-    payload = data[_LEN_PREFIX.size + _HEADER.size :]
-    return Frame(kind=kind, phase=phase, src=src, payload=payload)
+    return Frame(kind, phase, src, data[_FRAME.size:])
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -174,9 +187,9 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 def read_frame(sock: socket.socket) -> Frame | None:
     """Read one frame from a blocking stream socket; None on clean EOF."""
-    data = _recv_exact(sock, _LEN_PREFIX.size)
-    if len(data) == _LEN_PREFIX.size:
-        data += _recv_exact(sock, _LEN_PREFIX.unpack(data)[0])
+    data = _recv_exact(sock, _PREFIX)
+    if len(data) == _PREFIX:
+        data += _recv_exact(sock, int.from_bytes(data, "big"))
     return decode_frame(data) if data else None
 
 
@@ -191,6 +204,12 @@ class TcpTransport:
     the socket buffers a frame thus goes out only while the peer's engine is
     in ``send`` or ``recv``: always so with one process per node, not when
     one thread drives both ends.  ``select`` caps a node near 1,000 streams.
+
+    ``send`` packs the header struct and appends the payload in one
+    expression.  Every read lands in one preallocated buffer, and the
+    frames are parsed in place with the same header struct: each message
+    costs one copy of its payload, and only an incomplete last frame is
+    kept, per stream, for the next read.
     """
 
     def __init__(self, config: NodeConfig, peers: dict[int, socket.socket]):
@@ -205,7 +224,12 @@ class TcpTransport:
         self._chunk = memoryview(bytearray(_CHUNK))
 
     def _read(self, sock: socket.socket) -> None:
-        """Move the complete frames that have arrived on one stream into the inbox."""
+        """Move the complete frames that have arrived on one stream into the inbox.
+
+        Frames are parsed where they lie: in the read buffer when the stream
+        kept no bytes from earlier reads, else in the stream's own buffer
+        once the new bytes are appended to it.  Only an incomplete last
+        frame is kept for the next read."""
         peer, buf = self._live[sock]
         try:
             size = sock.recv_into(self._chunk)
@@ -213,22 +237,41 @@ class TcpTransport:
                 if buf:
                     raise FramingError("connection closed mid-frame")
                 del self._live[sock]
-            buf += self._chunk[:size]
-            while len(buf) >= _LEN_PREFIX.size:
-                end = _LEN_PREFIX.size + _LEN_PREFIX.unpack_from(buf)[0]
-                if len(buf) < end:
-                    break
-                frame = decode_frame(bytes(buf[:end]))
-                del buf[:end]
-                if frame.kind != DATA or frame.src != peer:
-                    raise ProtocolError(f"frame of kind {frame.kind} with src {frame.src}")
-                self.stats.data_received += 1
-                self._inbox.append(Message(frame.phase, frame.src, frame.payload))
+                return
+            if buf:
+                buf += self._chunk[:size]
+                with memoryview(buf) as view:
+                    used = self._parse(view, len(buf), peer)
+                del buf[:used]
+            else:
+                used = self._parse(self._chunk, size, peer)
+                if used < size:
+                    buf += self._chunk[used:size]
         except BlockingIOError:  # spurious readiness: nothing arrived
             pass
         except (FramingError, ProtocolError, OSError) as exc:
             self._live.pop(sock, None)
             self._inbox.append(TransportError(f"receive from node {peer} failed: {exc}"))
+
+    def _parse(self, view: memoryview, end: int, peer: int) -> int:
+        """Queue the messages of the complete frames in ``view[:end]``, which
+        came from ``peer``; return how many bytes they take."""
+        pos = 0
+        while end - pos >= _FRAME.size:
+            length, kind, phase, src = _FRAME.unpack_from(view, pos)
+            stop = pos + _PREFIX + length
+            if stop > end or length < _HEADER:
+                break
+            _check_header(kind, phase, src, length - _HEADER)
+            if kind != DATA or src != peer:
+                raise ProtocolError(f"frame of kind {kind} with src {src}")
+            self.stats.data_received += 1
+            self._inbox.append(Message(phase, src, view[pos + _FRAME.size:stop].tobytes()))
+            pos = stop
+        # a length below the header fails once its 4 bytes are in
+        if end - pos >= _PREFIX and int.from_bytes(view[pos:pos + _PREFIX], "big") < _HEADER:
+            raise FramingError(f"frame length below the {_HEADER}-byte header")
+        return pos
 
     def _wait(self, writable: list[socket.socket]) -> None:
         """Wait until a live stream is readable or ``writable`` can take bytes;
@@ -240,13 +283,17 @@ class TcpTransport:
     def send(self, dst: int, msg: Message) -> None:
         self.config.check_destination(dst)
         sock = self._peers[dst]
-        data = memoryview(encode_frame(Frame(DATA, msg.phase, msg.src, msg.payload)))
+        data = _pack(DATA, msg.phase, msg.src, msg.payload)
         try:
-            while data:
+            while True:
                 try:
-                    data = data[sock.send(data):]
+                    sent = sock.send(data)
                 except BlockingIOError:
                     self._wait([sock])
+                    continue
+                if sent == len(data):
+                    break
+                data = memoryview(data)[sent:]
         except OSError as exc:
             raise TransportError(f"send to node {dst} failed: {exc}") from exc
         self.stats.data_sent += 1

@@ -25,7 +25,7 @@ from fedforge.logreg import (
     split,
 )
 from fedforge.sim import ExplicitSchedule, FifoSchedule, SeededSchedule, run_nodes, sim_transport
-from fedforge.transport import Message, ProtocolError
+from fedforge.transport import Message, NodeConfig, ProtocolError, TransportError
 
 F64 = struct.Struct(">d")
 
@@ -438,6 +438,22 @@ def test_missing_server_surfaces_engine_error():
 
     with pytest.raises(EngineError, match="iteration 0, phase 2"):
         run_nodes(handles, node)
+
+
+class FailingSendTransport:
+    """A transport whose every send fails the way a reset TCP stream does."""
+
+    config = NodeConfig(n_nodes=2, node_id=0)
+
+    def send(self, dst, msg):
+        raise TransportError(f"send to node {dst} failed: [Errno 104] Connection reset by peer")
+
+
+def test_send_failure_names_the_peer_once():
+    callbacks = CallbackPair(server_fn=mean_server, client_fn=echo_client)
+    with pytest.raises(EngineError, match="iteration 0, phase 1") as failure:
+        fl_decentralized(FailingSendTransport(), callbacks, pack(0.0), None)
+    assert str(failure.value).count("node 1") == 1
 
 
 def test_run_validation():

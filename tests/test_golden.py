@@ -7,9 +7,11 @@ Standard library only, so any interpreter can run it without pytest:
 
 The values are the bits CPython 3.11 has always given.  A float ``sum()``
 in training would break them on 3.12 and later, whose compensated
-summation rounds differently.
+summation rounds differently.  The wire layout of a DATA frame is pinned
+here too, as the live transport sends and reads it.
 """
 
+import socket
 import unittest
 
 from fedforge.engine import CallbackPair, fl_decentralized
@@ -27,6 +29,7 @@ from fedforge.logreg import (
     train_logreg,
 )
 from fedforge.sim import run_nodes, sim_transport
+from fedforge.transport import Message, NodeConfig, TcpTransport
 
 ZERO = serialize_model(ModelVector(0.0, 0.0))
 
@@ -71,6 +74,30 @@ class GoldenBits(unittest.TestCase):
         finals = run_nodes(sim_transport(2), lambda handle: fl_decentralized(
             handle, callbacks, ZERO, parts[handle.config.node_id], iterations=CLIQUE_ROUNDS))
         self.assertEqual(tuple(finals), CLIQUE_PAYLOADS)
+
+
+# Node 1's phase-2 reply (1.0, -2.0) to node 0: length 20, kind DATA,
+# phase 2, src 1, then the 16-byte model.
+REPLY = Message(2, 1, serialize_model(ModelVector(1.0, -2.0)))
+REPLY_WIRE = bytes.fromhex("00000014" "01" "02" "0001" "3ff0000000000000" "c000000000000000")
+
+
+class WireLayout(unittest.TestCase):
+    def test_data_frame_sent_and_read(self):
+        end1, end0 = socket.socketpair()
+        end1.setblocking(False)
+        end0.settimeout(5)
+        node1 = TcpTransport(NodeConfig(n_nodes=2, node_id=1), {0: end1})
+        node0 = TcpTransport(NodeConfig(n_nodes=2, node_id=0), {1: end0})
+        with node1, node0:
+            node1.send(0, REPLY)
+            wire = b""
+            while len(wire) < len(REPLY_WIRE) and (chunk := end0.recv(64)):
+                wire += chunk
+            self.assertEqual(wire, REPLY_WIRE)
+            end0.setblocking(False)
+            end1.sendall(REPLY_WIRE)
+            self.assertEqual(node0.recv(), REPLY)
 
 
 if __name__ == "__main__":

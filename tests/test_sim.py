@@ -184,7 +184,7 @@ def test_send_validation_and_closed_handles():
     with pytest.raises(ValueError):
         a.send(9, Message(1, 0, b""))
     a.close()
-    with pytest.raises(TransportError):
+    with pytest.raises(TransportError, match="node 1"):
         a.send(1, Message(1, 0, b""))
     with pytest.raises(TransportClosedError):
         a.recv()

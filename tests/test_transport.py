@@ -22,6 +22,7 @@ from fedforge.transport import (
     NodeConfig,
     ProtocolError,
     StartupTimeoutError,
+    TcpTransport,
     TransportClosedError,
     TransportError,
     decode_frame,
@@ -161,6 +162,118 @@ def test_read_frame_underdeclared_length():
             read_frame(b)
     finally:
         b.close()
+
+
+# -- the live transport's framing, over a socket pair -----------------------
+
+
+def socketpair_node():
+    """Node 0's transport on one end of a socket pair, whose other end
+    plays node 1; no ports are needed."""
+    mine, theirs = socket.socketpair()
+    mine.setblocking(False)
+    return TcpTransport(NodeConfig(n_nodes=2, node_id=0), {1: mine}), mine, theirs
+
+
+data_frames = st.builds(Frame, kind=st.just(DATA), phase=st.sampled_from([1, 2]),
+                        src=st.just(1), payload=st.binary(max_size=600))
+cut_sizes = st.lists(st.one_of(st.integers(1, 16), st.integers(17, 4096)), min_size=1)
+
+
+def feed(handle, mine, theirs, stream, sizes):
+    """Write ``stream`` in cuts of the given sizes, taken in turn, and let the
+    transport read after each cut, until its stream to node 1 is dropped."""
+    pos, turn = 0, 0
+    while pos < len(stream) and mine in handle._live:
+        cut = stream[pos:pos + sizes[turn % len(sizes)]]
+        theirs.sendall(cut)
+        handle._read(mine)
+        pos, turn = pos + len(cut), turn + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(frames=st.lists(data_frames, max_size=12), sizes=cut_sizes)
+def test_read_cuts_valid_streams_like_decode_frame(frames, sizes):
+    """Any cut of a valid stream, many frames per read or one frame over
+    many reads, gives the messages decode_frame gives, in order."""
+    handle, mine, theirs = socketpair_node()
+    try:
+        raw = [encode_frame(f) for f in frames]
+        feed(handle, mine, theirs, b"".join(raw), sizes)
+        theirs.close()
+        handle._read(mine)  # the clean end of the stream
+        expected = [Message(f.phase, f.src, f.payload) for f in map(decode_frame, raw)]
+        assert list(handle._inbox) == expected
+        assert mine not in handle._live
+    finally:
+        handle.close()
+        theirs.close()
+
+
+# one bad header field: byte offset in the frame and the values it may take
+bad_fields = {
+    "length": (0, st.integers(0, 3).map(lambda n: n.to_bytes(4, "big"))),
+    "kind": (4, st.sampled_from([HELLO, *range(2, 256)]).map(lambda k: bytes([k]))),
+    "phase": (5, st.sampled_from([0, *range(3, 256)]).map(lambda p: bytes([p]))),
+    "src": (6, st.integers(0, 0xFFFF).filter(lambda s: s != 1).map(lambda s: s.to_bytes(2, "big"))),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(good=st.lists(data_frames, max_size=6), bad=data_frames, after=st.lists(data_frames, max_size=3),
+       fault=st.sampled_from([*bad_fields, "close"]), sizes=cut_sizes, data=st.data())
+def test_read_fails_a_corrupted_stream_once(good, bad, after, fault, sizes, data):
+    """One bad header field, or a close inside a frame, puts exactly one
+    TransportError after the messages of the good frames before it; the
+    stream is dropped and no partial message appears."""
+    handle, mine, theirs = socketpair_node()
+    try:
+        raw = bytearray(encode_frame(bad))
+        if fault == "close":
+            stream = b"".join(map(encode_frame, good)) + raw[:data.draw(st.integers(1, len(raw) - 1))]
+        else:
+            offset, values = bad_fields[fault]
+            value = data.draw(values)
+            raw[offset:offset + len(value)] = value
+            stream = b"".join(map(encode_frame, good)) + raw + b"".join(map(encode_frame, after))
+        feed(handle, mine, theirs, stream, sizes)
+        if fault == "close":
+            theirs.close()
+            handle._read(mine)
+        inbox = list(handle._inbox)
+        assert inbox[:-1] == [Message(f.phase, f.src, f.payload) for f in good]
+        assert isinstance(inbox[-1], TransportError)
+        assert not isinstance(inbox[-1], TransportClosedError)
+        assert mine not in handle._live
+    finally:
+        handle.close()
+        theirs.close()
+
+
+@pytest.mark.parametrize("size", [0, 1, 16, 256 * 1024 + 1])
+def test_send_writes_the_encoded_frame(size):
+    """The bytes ``send`` puts on the stream are encode_frame's; the largest
+    payload does not fit the socket buffer, so it goes out in parts."""
+    handle, mine, theirs = socketpair_node()
+    payload = bytes(range(256)) * (size // 256) + bytes(size % 256)
+    expected = encode_frame(Frame(DATA, 2, 0, payload))
+    received = bytearray()
+
+    def drain():
+        theirs.settimeout(10)
+        while len(received) < len(expected) and (chunk := theirs.recv(1 << 16)):
+            received.extend(chunk)
+
+    reader = threading.Thread(target=drain, daemon=True)
+    try:
+        reader.start()
+        handle.send(1, Message(2, 0, payload))
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert bytes(received) == expected
+    finally:
+        handle.close()
+        theirs.close()
 
 
 # -- live transport -------------------------------------------------------
