@@ -144,12 +144,17 @@ def launch(spec: LaunchSpec, echo=print) -> LaunchResult:
             readers.append(reader)
 
         deadline = time.monotonic() + spec.watchdog_seconds
-        for proc in procs:
-            remaining = deadline - time.monotonic()
-            try:
+        for proc, reader in zip(procs, readers):
+            # A node's exit closes its stdout, which ends its reader, and a
+            # join wakes at that moment where Popen.wait would poll.  The
+            # poll each second covers a node whose stdout outlives it.
+            while reader.is_alive() and proc.poll() is None:
+                remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    raise subprocess.TimeoutExpired(proc.args, spec.watchdog_seconds)
-                proc.wait(timeout=remaining)
+                    break
+                reader.join(timeout=min(1.0, remaining))
+            try:
+                proc.wait(timeout=max(0.0, deadline - time.monotonic()))
             except subprocess.TimeoutExpired:
                 survivors = [i for i, p in enumerate(procs) if p.poll() is None]
                 _kill_all(procs)

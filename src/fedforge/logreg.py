@@ -275,34 +275,79 @@ def gradient(X: list[float], Y: list[int], y_pred: list[float]) -> Gradient:
     return Gradient(-2 * s0, -2 * s1)
 
 
+# The largest share of distinct (x, y) rows at which ``train_logreg`` takes
+# its grouped loop; see its docstring for the measured break-even.
+_GROUPED_PAIR_SHARE = 2 / 3
+
+
 def train_logreg(X: list[float], Y: list[int], cfg: TrainConfig = TrainConfig(),
                  init: ModelVector = ModelVector(0.0, 0.0)) -> ModelVector:
     """Full-batch gradient descent from ``init``; X is normalized once.
 
-    Each epoch is one pass over the rows that computes ``predict`` and
-    ``gradient`` inline, with the same operand order, so the result is the
-    same bits as calling them.
+    Each epoch computes ``predict`` and ``gradient`` inline, with the same
+    operand order, so the result is the same bits as calling them.  It
+    runs one of two loops, chosen from the data:
+
+    - The row loop computes each row's two gradient terms and adds them
+      into the sums as it goes.
+    - The grouped loop numbers the distinct normalized (x, y) rows once.
+      Each epoch it computes every distinct row's terms once, then adds
+      them into the sums along the rows, left to right from 0.0.
+
+    Both loops add the same floats in the same order, so they give the
+    same bits.  Rows are grouped by ``==``, which merges 0.0 and -0.0; the
+    only terms that differ between those are zeros of either sign, and
+    adding either to a sum that starts at 0.0 leaves its bits alone.
+
+    The grouped loop runs when the distinct rows are at most
+    ``_GROUPED_PAIR_SHARE`` (two thirds) of the rows.  Measured on 160
+    rows (CPython 3.11.7, 2 vCPUs), the grouped loop takes 0.5 times the
+    row loop's time at a share of 0.3, 0.8 at 0.5, 0.95 at two thirds,
+    1.04 at 0.75 and 1.33 at 1, as in data without repeats; the break-even
+    lies near 0.7.  The bundled data's partitions among up to three
+    clients have shares from 0.16 to 0.45 under the default split.
     """
     if not X or len(X) != len(Y):
         raise ValueError(f"need matching nonempty X, Y; got {len(X)}, {len(Y)}")
     rows = list(zip(normalize(X), map(float, Y)))
+    pairs: dict[tuple[float, float], int] = {}
+    idx = [pairs.setdefault(row, len(pairs)) for row in rows]
+    grouped = len(pairs) <= _GROUPED_PAIR_SHARE * len(rows)
     lr = cfg.learning_rate
     exp = math.exp
     b0, b1 = init.b0, init.b1
     for epoch in range(cfg.epochs):
         s0 = 0.0
         s1 = 0.0
-        for x, y in rows:
-            t = b0 + b1 * x
-            if t > 500.0:
-                t = 500.0
-            elif t < -500.0:
-                t = -500.0
-            p = 1.0 / (1.0 + exp(-t))
-            r = y - p
-            q = 1.0 - p
-            s0 = s0 + r * p * q
-            s1 = s1 + x * r * p * q
+        if grouped:
+            terms0 = []
+            terms1 = []
+            for x, y in pairs:
+                t = b0 + b1 * x
+                if t > 500.0:
+                    t = 500.0
+                elif t < -500.0:
+                    t = -500.0
+                p = 1.0 / (1.0 + exp(-t))
+                r = y - p
+                q = 1.0 - p
+                terms0.append(r * p * q)
+                terms1.append(x * r * p * q)
+            for i in idx:
+                s0 = s0 + terms0[i]
+                s1 = s1 + terms1[i]
+        else:
+            for x, y in rows:
+                t = b0 + b1 * x
+                if t > 500.0:
+                    t = 500.0
+                elif t < -500.0:
+                    t = -500.0
+                p = 1.0 / (1.0 + exp(-t))
+                r = y - p
+                q = 1.0 - p
+                s0 = s0 + r * p * q
+                s1 = s1 + x * r * p * q
         b0 = b0 - lr * (-2.0 * s0)
         b1 = b1 - lr * (-2.0 * s1)
         if not (math.isfinite(b0) and math.isfinite(b1)):

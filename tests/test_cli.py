@@ -25,7 +25,7 @@ from fedforge.cli import (
     main,
 )
 from fedforge.errors import FedforgeError
-from fedforge.engine import CallbackPair, fl_decentralized
+from fedforge.engine import CallbackPair, fl_centralized, fl_decentralized
 from fedforge.launcher import (
     DEFAULT_WATCHDOG_SECONDS,
     LaunchResult,
@@ -38,6 +38,7 @@ from fedforge.logreg import (
     ModelVector,
     bundled_sna_path,
     cb_cent_client,
+    cb_cent_server,
     cb_decent_server,
     load_sna_csv,
     partition_horizontal,
@@ -292,6 +293,38 @@ def test_clique_trains_own_update_once_per_run(tmp_path, monkeypatch, capsys):
         handle, retrained, zero, parts[handle.config.node_id], iterations=rounds))
     assert [p.read_bytes() for p in outs] == want
     assert want[0] != want[1]
+
+
+def test_star_clients_train_their_own_slices(tmp_path):
+    """Three ``fedforge node`` star nodes, server 1, on split seed 1, whose
+    two client slices differ: every node writes the payload of the sim
+    reference in which client i trains the slice at its place among the
+    clients.  The clients' files are compared too, because the server's
+    mean of two updates is the same if the clients swap slices."""
+    port = free_base_port(3)
+    outs = [tmp_path / f"node{i}.bin" for i in range(3)]
+    argvs = [node_argv(bundled_sna_path(), id=i, nodes=3, srv_id=1, algo="centralized",
+                       seed=CLIQUE_SPLIT_SEED, base_port=port, out=outs[i])
+             for i in range(3)]
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        codes = list(pool.map(main, argvs))
+    assert codes == [EXIT_OK] * 3
+
+    data = split(load_sna_csv(bundled_sna_path()), TEST_FRACTION, CLIQUE_SPLIT_SEED)
+    parts = partition_horizontal(data.X_train, data.y_train, 2)
+    assert parts[0] != parts[1]
+    clients = [0, 2]
+    zero = serialize_model(ModelVector(0.0, 0.0))
+    callbacks = CallbackPair(server_fn=cb_cent_server, client_fn=cb_cent_client)
+
+    def star_node(handle):
+        node_id = handle.config.node_id
+        part = parts[clients.index(node_id)] if node_id in clients else None
+        return fl_centralized(handle, callbacks, zero, part)
+
+    want = run_nodes(sim_transport(3, srv_id=1), star_node)
+    assert [p.read_bytes() for p in outs] == want
+    assert want[0] != want[2]
 
 
 def other_interpreter() -> str | None:

@@ -22,6 +22,7 @@ from fedforge.logreg import (
     cb_cent_client,
     cb_decent_server,
     deserialize_model,
+    gen_synthetic,
     load_sna_csv,
     partition_horizontal,
     serialize_model,
@@ -35,6 +36,9 @@ ZERO = serialize_model(ModelVector(0.0, 0.0))
 
 FULL_SEED42 = ("-0x1.1a994b26b484cp-1", "0x1.4fda232a29b2ap+0")
 PARTITION_SEED42 = ("-0x1.0673931871676p-1", "0x1.3833363e4cb99p+0")
+# All 320 rows distinct, so training takes the row loop; the bundled
+# partitions above take the grouped loop.
+SYNTHETIC_SEED7 = ("-0x1.295c52b4727c1p-2", "0x1.6780f98ab3d50p+0")
 
 # A 2-node clique over the bundled dataset: `fedforge launch --algo
 # decentralized --nodes 2 --iters 3 --seed 1`.  Split seed 1 gives the two
@@ -65,6 +69,10 @@ class GoldenBits(unittest.TestCase):
         for part in partition_horizontal(data.X_train, data.y_train, 2):
             update = deserialize_model(cb_cent_client(None, part, ZERO))
             self.assertEqual(hex_pair(update), PARTITION_SEED42)
+
+    def test_distinct_rows_training(self):
+        ds = gen_synthetic(7, 320)
+        self.assertEqual(hex_pair(train_logreg(ds.ages(), ds.labels())), SYNTHETIC_SEED7)
 
     def test_clique_payloads(self):
         data = bundled_split(CLIQUE_SPLIT_SEED)

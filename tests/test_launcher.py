@@ -171,6 +171,32 @@ def test_watchdog_names_only_survivors(tmp_path, monkeypatch):
         launch(spec, echo=lambda _: None)
 
 
+# stderr shares the stdout pipe, so a stub closes both to end its output.
+CLOSE_OUTPUT = "import os, time; os.close(1); os.close(2); "
+
+
+def test_node_exiting_after_its_output_ends_is_waited_for(tmp_path, monkeypatch):
+    def build(spec, node_id):
+        return [sys.executable, "-c", CLOSE_OUTPUT + "time.sleep(0.5)"]
+
+    monkeypatch.setattr(launcher, "_build_node_command", build)
+    spec = LaunchSpec(2, "centralized", tiny_csv(tmp_path), watchdog_seconds=30.0)
+    assert launch(spec, echo=lambda _: None).exit_codes == [0, 0]
+
+
+def test_watchdog_names_a_node_that_hangs_after_its_output_ends(tmp_path, monkeypatch):
+    def build(spec, node_id):
+        delay = 0.0 if node_id == 0 else 60.0
+        return [sys.executable, "-c", CLOSE_OUTPUT + f"time.sleep({delay})"]
+
+    monkeypatch.setattr(launcher, "_build_node_command", build)
+    spec = LaunchSpec(2, "centralized", tiny_csv(tmp_path), watchdog_seconds=2.0)
+    start = time.monotonic()
+    with pytest.raises(LaunchTimeoutError, match=r"nodes still running: \[1\]"):
+        launch(spec, echo=lambda _: None)
+    assert time.monotonic() - start < 10.0
+
+
 def test_unspawnable_command_raises(tmp_path, monkeypatch):
     monkeypatch.setattr(
         launcher, "_build_node_command",

@@ -396,6 +396,100 @@ def test_training_deterministic():
     assert struct.pack(">dd", a.b0, a.b1) == struct.pack(">dd", b.b0, b.b1)
 
 
+def epoch_oracle(X, Y, cfg=TrainConfig(), init=ModelVector(0.0, 0.0)) -> ModelVector:
+    """Training restated as one ``predict`` and one ``gradient`` call per epoch."""
+    xs = normalize(X)
+    m = init
+    for _ in range(cfg.epochs):
+        g = gradient(xs, Y, predict(xs, m))
+        m = ModelVector(m.b0 - cfg.learning_rate * g.d_b0, m.b1 - cfg.learning_rate * g.d_b1)
+    return m
+
+
+def bits(m: ModelVector) -> bytes:
+    return struct.pack(">dd", m.b0, m.b1)
+
+
+def count_exp(monkeypatch) -> list[int]:
+    """Count ``math.exp`` calls from here on, in a one-element list."""
+    calls = [0]
+    exp = math.exp
+
+    def counting(t):
+        calls[0] += 1
+        return exp(t)
+
+    monkeypatch.setattr(math, "exp", counting)
+    return calls
+
+
+def distinct_rows(X, Y) -> int:
+    return len(set(zip(normalize(X), map(float, Y))))
+
+
+def repeated_rows(distinct: int, n: int) -> tuple[list[float], list[int]]:
+    """n rows that cycle through ``distinct`` synthetic rows in shuffled order."""
+    base = gen_synthetic(seed=5, n=distinct).rows
+    rows = [base[i % distinct] for i in shuffle_replay(n, 3)]
+    return [x for x, _ in rows], [y for _, y in rows]
+
+
+def bundled_partitions(seed: int, k: int) -> list[Partition]:
+    data = split(load_sna_csv(bundled_sna_path()), 0.20, seed)
+    return partition_horizontal(data.X_train, data.y_train, k)
+
+
+@pytest.mark.parametrize("seed", [1, 42, 77])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_training_matches_epoch_oracle_on_bundled_partitions(seed, k):
+    for part in bundled_partitions(seed, k):
+        assert bits(train_logreg(part.X, part.Y)) == bits(epoch_oracle(part.X, part.Y))
+
+
+@pytest.mark.parametrize("distinct, grouped", [(80, True), (96, True), (106, True),
+                                               (107, False), (120, False), (160, False)])
+def test_training_matches_epoch_oracle_across_the_loop_threshold(monkeypatch, distinct, grouped):
+    """160 rows cycling through ``distinct`` rows: the grouped loop runs
+    while they are at most two thirds of the rows (106 of 160), the row
+    loop above that, and both give the oracle's bits."""
+    X, Y = repeated_rows(distinct, 160)
+    assert distinct_rows(X, Y) == distinct
+    cfg = TrainConfig(learning_rate=0.01, epochs=120)
+    init = ModelVector(0.3, -0.7)
+    want = epoch_oracle(X, Y, cfg, init)
+    calls = count_exp(monkeypatch)
+    assert bits(train_logreg(X, Y, cfg, init)) == bits(want)
+    assert calls[0] == (distinct if grouped else 160) * cfg.epochs
+
+
+def test_training_groups_signed_zeros_without_changing_bits():
+    # Normalizing keeps the sign of -0.0 here (mean 0.0), so -0.0 and 0.0
+    # rows share one grouped row.
+    X, Y = [-0.0, 0.0, 1.0, -1.0] * 3, [1, 1, 0, 1] * 3
+    xs = normalize(X)
+    assert math.copysign(1.0, xs[0]) == -1.0 and math.copysign(1.0, xs[1]) == 1.0
+    assert distinct_rows(X, Y) == 3
+    for init in (ModelVector(0.0, 0.0), ModelVector(-0.0, 0.5), ModelVector(0.2, -0.0)):
+        cfg = TrainConfig(epochs=50)
+        assert bits(train_logreg(X, Y, cfg, init)) == bits(epoch_oracle(X, Y, cfg, init))
+
+
+def test_training_calls_exp_once_per_distinct_row_and_epoch(monkeypatch):
+    part = bundled_partitions(42, 2)[0]
+    assert (distinct_rows(part.X, part.Y), len(part.X)) == (51, 160)
+    calls = count_exp(monkeypatch)
+    train_logreg(part.X, part.Y)
+    assert calls[0] == 51 * TrainConfig().epochs
+
+
+def test_training_without_repeats_calls_exp_once_per_row_and_epoch(monkeypatch):
+    ds = gen_synthetic(seed=7, n=320)
+    assert distinct_rows(ds.ages(), ds.labels()) == 320
+    calls = count_exp(monkeypatch)
+    train_logreg(ds.ages(), ds.labels())
+    assert calls[0] == 320 * TrainConfig().epochs
+
+
 def test_divergence_detected():
     # Nine residual-0.5 samples push |d_b0| to 2.25; an extreme rate then
     # overflows the very first update.
