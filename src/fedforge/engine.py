@@ -25,12 +25,15 @@ the wire.
 Rounds after the first reuse the previous round's output as the new
 broadcast payload.  The executor blocks indefinitely on missing peers;
 deadline enforcement belongs to the process launcher.
+
+The protocol rules live in ``_run_rounds``: each message is checked in the
+branch that serves it, holds it for the next round or stores it as an
+update, and a violation raises ``ProtocolError``.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import FedforgeError
@@ -52,72 +55,6 @@ class CallbackPair:
 
     server_fn: ServerFn
     client_fn: ClientFn
-
-
-class Action(enum.Enum):
-    """What to do with one incoming message, given the node's phase."""
-
-    PROCESS_CLIENT_DUTY = "process-client-duty"
-    BUFFER_UPDATE = "buffer-update"
-    PROCESS_UPDATE = "process-update"
-    HOLD_NEXT_ROUND = "hold-next-round"
-
-
-@dataclass
-class RoundState:
-    """Per-round bookkeeping that drives message classification.
-
-    ``expected_phase1``/``expected_updates`` are fixed by the node's role;
-    the mutable sets below record which sources have been served already.
-    """
-
-    iteration: int
-    iterations: int
-    expected_phase1: frozenset[int]
-    expected_updates: frozenset[int]
-    phase1_done: set[int] = field(default_factory=set)
-    updates_seen: set[int] = field(default_factory=set)
-    held_next: set[int] = field(default_factory=set)
-
-
-def handle_incoming(state: RoundState, msg: Message, current_phase: int) -> Action:
-    """Classify one received message; raises on protocol violations.
-
-    A phase-1 broadcast from a source already served this round is legal in
-    exactly one situation: the sender finished the round first and opened
-    the next one.  Per-pair FIFO ordering means its reply to us was
-    delivered before that broadcast, and it cannot get further ahead than
-    one round because finishing again would require our own reply.  Such a
-    broadcast is held and served at the start of the next round; when no
-    next round exists it is a duplicate.
-    """
-    if current_phase not in (2, 3):
-        raise ValueError(f"no messages are expected in phase {current_phase}")
-    if msg.phase == 1:
-        if msg.src in state.phase1_done:
-            last_round = state.iteration + 1 >= state.iterations
-            if last_round or msg.src in state.held_next:
-                raise ProtocolError(
-                    f"duplicate phase-1 broadcast from node {msg.src} "
-                    f"in iteration {state.iteration}"
-                )
-            return Action.HOLD_NEXT_ROUND
-        if msg.src not in state.expected_phase1:
-            raise ProtocolError(f"unexpected phase-1 broadcast from node {msg.src}")
-        if current_phase == 3:
-            raise ProtocolError(
-                f"phase-1 broadcast from node {msg.src} after its serving window"
-            )
-        return Action.PROCESS_CLIENT_DUTY
-    if msg.src not in state.expected_updates:
-        raise ProtocolError(f"unexpected update from node {msg.src}")
-    if msg.src in state.updates_seen:
-        raise ProtocolError(
-            f"duplicate update from node {msg.src} in iteration {state.iteration}"
-        )
-    if current_phase == 2:
-        return Action.BUFFER_UPDATE
-    return Action.PROCESS_UPDATE
 
 
 def fl_centralized(transport, callbacks: CallbackPair, local_data: bytes,
@@ -172,37 +109,57 @@ def _send(transport, dst: int, msg: Message, iteration: int, phase: int) -> None
 
 def _run_rounds(transport, callbacks, local_data, private_data, iterations,
                 broadcasters):
+    """The round loop; each message is checked where it is acted on.
+
+    A phase-1 broadcast from a source already served this round is legal in
+    exactly one situation: the sender finished the round first and opened
+    the next one.  Per-pair FIFO ordering means its reply to us was
+    delivered before that broadcast, and it cannot get further ahead than
+    one round because finishing again would require our own reply.  Such a
+    broadcast is held and served at the start of the next round; when no
+    next round exists, or one is already held from that source, it is a
+    duplicate.  Any other broadcast must come from a broadcaster, and an
+    update from a target, at most once per round.
+    """
     cfg = transport.config
     check_run(cfg, iterations)
     me = cfg.node_id
     targets = cfg.peers() if me in broadcasters else []  # broadcast to, collect from
     serves = frozenset(broadcasters) - {me}
     collects = frozenset(targets)
-    held: list[Message] = []
+    held: dict[int, Message] = {}
     for it in range(iterations):
         snapshot = local_data
-        state = RoundState(it, iterations, serves, collects)
         for dst in targets:
             _send(transport, dst, Message(1, me, snapshot), it, 1)
         # Broadcasts held from the previous round are served first.
-        pending, held = held, []
+        pending, held = list(held.values()), {}
+        served: set[int] = set()
         updates: dict[int, bytes] = {}
-        while len(state.phase1_done) < len(serves) or len(updates) < len(targets):
-            phase = 2 if len(state.phase1_done) < len(serves) else 3
+        while len(served) < len(serves) or len(updates) < len(targets):
+            phase = 2 if len(served) < len(serves) else 3
             msg = pending.pop(0) if pending else _recv(transport, it, phase)
-            action = handle_incoming(state, msg, current_phase=phase)
-            if action is Action.PROCESS_CLIENT_DUTY:
+            src = msg.src
+            if msg.phase == 1 and src in served:  # its sender opened the next round
+                if it + 1 == iterations or src in held:
+                    raise ProtocolError(
+                        f"duplicate phase-1 broadcast from node {src} in iteration {it}"
+                    )
+                held[src] = msg
+            elif msg.phase == 1:
+                if src not in serves:
+                    raise ProtocolError(f"unexpected phase-1 broadcast from node {src}")
                 reply = callbacks.client_fn(snapshot, private_data, msg.payload)
-                _send(transport, msg.src, Message(2, me, reply), it, 2)
-                state.phase1_done.add(msg.src)
+                _send(transport, src, Message(2, me, reply), it, 2)
+                served.add(src)
                 if not targets:
                     local_data = reply  # adopt only after the reply is on the wire
-            elif action is Action.HOLD_NEXT_ROUND:
-                state.held_next.add(msg.src)
-                held.append(msg)
-            else:  # BUFFER_UPDATE or PROCESS_UPDATE
-                state.updates_seen.add(msg.src)
-                updates[msg.src] = msg.payload
+            else:
+                if src not in collects:
+                    raise ProtocolError(f"unexpected update from node {src}")
+                if src in updates:
+                    raise ProtocolError(f"duplicate update from node {src} in iteration {it}")
+                updates[src] = msg.payload
         if targets:
             ordered = [updates[src] for src in sorted(updates)]
             local_data = callbacks.server_fn(private_data, ordered)

@@ -232,7 +232,7 @@ def normalize(xs: list[float]) -> list[float]:
     devs = [x - mean for x in xs]
     squares = 0.0
     for d in devs:
-        squares = squares + d ** 2
+        squares = squares + d * d  # IEEE-rounded; ** 2 is libm's pow
     s = math.sqrt(squares / (n - 1)) if n > 1 else 0.0
     if s == 0.0:
         s = 1.0

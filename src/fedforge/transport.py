@@ -178,9 +178,11 @@ def decode_frame(data: bytes) -> Frame:
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read n bytes from a blocking socket; fewer only if the stream ends first."""
+    """Read n bytes from a blocking socket; fewer only if the stream ends first.
+    Each read asks for at most ``_CHUNK`` bytes, as ``recv`` allocates what it
+    is asked for and a length prefix can ask for 4 GiB."""
     buf = b""
-    while len(buf) < n and (chunk := sock.recv(n - len(buf))):
+    while len(buf) < n and (chunk := sock.recv(min(n - len(buf), _CHUNK))):
         buf += chunk
     return buf
 
@@ -301,7 +303,10 @@ class TcpTransport:
     def recv(self) -> Message:
         while not self._inbox:
             if not self._live:
-                raise TransportClosedError(f"node {self.config.node_id}: all peers disconnected")
+                peers = ", ".join(map(str, self.config.peers()))
+                raise TransportClosedError(
+                    f"node {self.config.node_id}: all peers disconnected (nodes {peers})"
+                )
             self._wait([])
         item = self._inbox.popleft()
         if isinstance(item, TransportError):

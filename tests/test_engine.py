@@ -1,19 +1,15 @@
-"""Engine behavior: message classification, the trivia pipelines, callback
-ordering guarantees, round chaining, and reorder robustness."""
+"""Engine behavior: the protocol rules on a scripted node, the trivia
+pipelines, callback ordering guarantees, round chaining, and reorder
+robustness, fuzzed over every FIFO interleaving one node can see."""
 
+import functools
+import hashlib
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fedforge.engine import (
-    Action,
-    CallbackPair,
-    EngineError,
-    RoundState,
-    fl_centralized,
-    fl_decentralized,
-    handle_incoming,
-)
+from fedforge.engine import CallbackPair, EngineError, fl_centralized, fl_decentralized
 from fedforge.logreg import (
     ModelVector,
     cb_cent_client,
@@ -25,7 +21,13 @@ from fedforge.logreg import (
     split,
 )
 from fedforge.sim import ExplicitSchedule, FifoSchedule, SeededSchedule, run_nodes, sim_transport
-from fedforge.transport import Message, NodeConfig, ProtocolError, TransportError
+from fedforge.transport import (
+    Message,
+    NodeConfig,
+    ProtocolError,
+    TransportClosedError,
+    TransportError,
+)
 
 F64 = struct.Struct(">d")
 
@@ -38,73 +40,103 @@ def unpack1(payload):
     return F64.unpack(payload)[0]
 
 
-# -- handle_incoming classification table ---------------------------------
+# -- the protocol rules, one scripted node at a time ----------------------
 
 
-def fresh_state(iteration=0, iterations=1, phase1=(1, 2), updates=(1, 2)):
-    return RoundState(iteration, iterations, frozenset(phase1), frozenset(updates))
+class ScriptedTransport:
+    """One node whose peers' messages come from a script, in order; every
+    send is recorded.  An empty script closes the transport."""
+
+    def __init__(self, config, script):
+        self.config = config
+        self.script = list(script)
+        self.sent = []
+
+    def send(self, dst, msg):
+        self.sent.append((dst, msg))
+
+    def recv(self):
+        if not self.script:
+            raise TransportClosedError("the script ran out")
+        return self.script.pop(0)
+
+
+# Replies name the payload they answer; aggregates list the updates in order.
+TAG_CALLBACKS = CallbackPair(server_fn=lambda private, updates: b"+".join(updates),
+                             client_fn=lambda local, private, payload: b"re:" + payload)
+
+
+def run_scripted(fl, n, node_id, script, iterations=1):
+    """Node ``node_id`` of an n-node run with server 0, fed ``script``;
+    returns its result and what it sent."""
+    transport = ScriptedTransport(NodeConfig(n_nodes=n, node_id=node_id), script)
+    result = fl(transport, TAG_CALLBACKS, b"own", None, iterations)
+    return result, transport.sent
+
+
+def rejects(text, fl, n, node_id, script, iterations=1):
+    with pytest.raises(ProtocolError) as failure:
+        run_scripted(fl, n, node_id, script, iterations)
+    assert str(failure.value) == text
 
 
 def test_phase1_in_phase2_is_client_duty():
-    state = fresh_state()
-    assert handle_incoming(state, Message(1, 1, b""), 2) is Action.PROCESS_CLIENT_DUTY
+    """A star client answers the server's broadcast and keeps its reply."""
+    result, sent = run_scripted(fl_centralized, 2, 1, [Message(1, 0, b"m")])
+    assert sent == [(0, Message(2, 1, b"re:m"))]
+    assert result == b"re:m"
 
 
 def test_phase2_in_phase2_is_buffered():
-    state = fresh_state()
-    assert handle_incoming(state, Message(2, 2, b""), 2) is Action.BUFFER_UPDATE
+    """An update that arrives while broadcasts are still unserved is kept
+    for the aggregate, which lists the updates by source."""
+    script = [Message(2, 2, b"u2"), Message(1, 1, b"b1"), Message(1, 2, b"b2"),
+              Message(2, 1, b"u1")]
+    result, _ = run_scripted(fl_decentralized, 3, 0, script)
+    assert result == b"u1+u2"
 
 
 def test_phase2_in_phase3_is_processed():
-    state = fresh_state()
-    assert handle_incoming(state, Message(2, 1, b""), 3) is Action.PROCESS_UPDATE
+    result, _ = run_scripted(fl_decentralized, 2, 0, [Message(1, 1, b"b1"), Message(2, 1, b"u1")])
+    assert result == b"u1"
 
 
 def test_duplicate_phase1_last_round_rejected():
-    state = fresh_state()
-    state.phase1_done.add(1)
-    with pytest.raises(ProtocolError, match="duplicate phase-1"):
-        handle_incoming(state, Message(1, 1, b""), 2)
+    rejects("duplicate phase-1 broadcast from node 1 in iteration 0", fl_decentralized, 2, 0,
+            [Message(1, 1, b"b1"), Message(1, 1, b"again")])
 
 
 def test_phase1_from_finished_peer_held_when_rounds_remain():
-    state = fresh_state(iteration=0, iterations=2)
-    state.phase1_done.add(1)
-    assert handle_incoming(state, Message(1, 1, b""), 2) is Action.HOLD_NEXT_ROUND
-    assert handle_incoming(state, Message(1, 1, b""), 3) is Action.HOLD_NEXT_ROUND
-    state.held_next.add(1)  # a second head start is impossible, hence illegal
-    with pytest.raises(ProtocolError, match="duplicate phase-1"):
-        handle_incoming(state, Message(1, 1, b""), 2)
+    """Node 1's round-2 broadcast overtakes its round-1 update: node 0 holds
+    it, then serves it first in round 2."""
+    script = [Message(1, 1, b"b1"), Message(1, 1, b"b1'"), Message(2, 1, b"u1"),
+              Message(2, 1, b"u1'")]
+    result, sent = run_scripted(fl_decentralized, 2, 0, script, iterations=2)
+    assert sent == [(1, Message(1, 0, b"own")), (1, Message(2, 0, b"re:b1")),
+                    (1, Message(1, 0, b"u1")), (1, Message(2, 0, b"re:b1'"))]
+    assert result == b"u1'"
+
+
+def test_second_held_broadcast_rejected():
+    """A peer cannot be two rounds ahead: that needs a reply not yet sent."""
+    rejects("duplicate phase-1 broadcast from node 1 in iteration 0", fl_decentralized, 2, 0,
+            [Message(1, 1, b"b1"), Message(1, 1, b"b1'"), Message(1, 1, b"b1''")], iterations=3)
 
 
 def test_phase1_from_unexpected_src_rejected():
-    state = fresh_state(phase1=(1,))
-    with pytest.raises(ProtocolError, match="unexpected phase-1"):
-        handle_incoming(state, Message(1, 2, b""), 2)
-
-
-def test_unserved_phase1_in_phase3_rejected():
-    state = fresh_state()
-    with pytest.raises(ProtocolError, match="serving window"):
-        handle_incoming(state, Message(1, 1, b""), 3)
+    """In a star only the server broadcasts."""
+    rejects("unexpected phase-1 broadcast from node 2", fl_centralized, 3, 1,
+            [Message(1, 2, b"b2")])
 
 
 def test_update_from_unexpected_src_rejected():
-    state = fresh_state(updates=(1,))
-    with pytest.raises(ProtocolError, match="unexpected update"):
-        handle_incoming(state, Message(2, 2, b""), 3)
+    """A star client collects nothing."""
+    rejects("unexpected update from node 2", fl_centralized, 3, 1, [Message(2, 2, b"u2")])
 
 
 def test_duplicate_update_rejected():
-    state = fresh_state()
-    state.updates_seen.add(1)
-    with pytest.raises(ProtocolError, match="duplicate update"):
-        handle_incoming(state, Message(2, 1, b""), 2)
-
-
-def test_no_messages_expected_in_phase1():
-    with pytest.raises(ValueError):
-        handle_incoming(fresh_state(), Message(1, 1, b""), 1)
+    rejects("duplicate update from node 1 in iteration 0", fl_centralized, 3, 0,
+            [Message(2, 1, b"u1"), Message(2, 1, b"u1")])
 
 
 # -- trivia pipelines over the simulated transport ------------------------
@@ -422,6 +454,123 @@ def test_multi_iteration_reorder_invariance(fl, n, srv_id):
     for seed in range(20):
         got = run_nodes(sim_transport(n, SeededSchedule(seed), srv_id), node_fn)
         assert got == reference, f"schedule seed {seed} changed the result"
+
+
+# -- every FIFO interleaving one node can see, fuzzed ----------------------
+
+
+def hash_client(local, tag, payload):
+    return hashlib.sha256(tag + local + payload).digest()[:8]
+
+
+def hash_server(tag, updates):
+    return hashlib.sha256(tag + b"".join(updates)).digest()[:8]
+
+
+# Any bytes are valid payloads, and every result depends on the order of
+# the updates and on the snapshot each reply reads.
+HASH_CALLBACKS = CallbackPair(server_fn=hash_server, client_fn=hash_client)
+
+
+@functools.lru_cache(maxsize=None)
+def fifo_run(fl, n, srv_id, iterations):
+    """Every node's result of a FIFO sim run, and for every node the
+    messages each peer sent it, in send order."""
+    handles = [RecordingTransport(h) for h in sim_transport(n, FifoSchedule(), srv_id)]
+
+    def node(handle):
+        tag = bytes([handle.config.node_id])
+        return fl(handle, HASH_CALLBACKS, tag, tag, iterations)
+
+    results = run_nodes(handles, node)
+    sent = [m for handle in handles for m in handle.sent]
+    inbound = [{src: tuple(msg for to, msg in sent if to == dst and msg.src == src)
+                for src in range(n) if src != dst} for dst in range(n)]
+    return results, inbound
+
+
+class InterleavingTransport:
+    """One node fed its peers' messages, each peer's in send order, with the
+    order across peers drawn at every ``recv`` from the peers whose next
+    message could have been sent by then.
+
+    A peer's k-th message to this node needs this node's first k messages
+    to that peer; a peer that only replies also needs the broadcast it
+    answers.  ``extra`` is delivered after ``at`` of the peers' messages.
+    When no message can arrive, the transport is closed."""
+
+    def __init__(self, config, inbound, broadcasters, data, extra=None, at=0):
+        self.config = config
+        self.data = data
+        self.queues = inbound
+        me = config.node_id
+        self.lead = {src: int(me in broadcasters and src not in broadcasters) for src in inbound}
+        self.taken = dict.fromkeys(inbound, 0)
+        self.sent = dict.fromkeys(inbound, 0)
+        self.extra, self.at = extra, at
+
+    def send(self, dst, msg):
+        self.sent[dst] += 1
+
+    def recv(self):
+        if self.extra is not None and sum(self.taken.values()) == self.at:
+            msg, self.extra = self.extra, None
+            return msg
+        ready = [src for src, queue in self.queues.items()
+                 if self.taken[src] < len(queue)
+                 and self.sent[src] >= self.taken[src] + self.lead[src]]
+        if not ready:
+            raise TransportClosedError("no message can arrive")
+        src = self.data.draw(st.sampled_from(ready))
+        self.taken[src] += 1
+        return self.queues[src][self.taken[src] - 1]
+
+
+FUZZ_RUNS = [
+    pytest.param(fl, n, iterations, id=f"{name}-n{n}-iters{iterations}")
+    for name, fl in (("star", fl_centralized), ("clique", fl_decentralized))
+    for n in (2, 3, 4) for iterations in (1, 2)
+]
+
+
+def interleaved(fl, n, iterations, data, spliced):
+    """Draw a node and a server and run that node over an interleaving of
+    its FIFO-run messages, with one arbitrary message spliced in if asked;
+    returns the run's result and the FIFO run's result for that node."""
+    node_id, srv_id = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    results, inbound = fifo_run(fl, n, srv_id, iterations)
+    config = NodeConfig(n_nodes=n, node_id=node_id, srv_id=srv_id)
+    broadcasters = range(n) if fl is fl_decentralized else {srv_id}
+    extra, at = None, 0
+    if spliced:
+        extra = data.draw(st.builds(Message, st.sampled_from([1, 2]), st.integers(0, n - 1),
+                                    st.binary(max_size=8)))
+        at = data.draw(st.integers(0, sum(map(len, inbound[node_id].values()))))
+    transport = InterleavingTransport(config, inbound[node_id], broadcasters, data, extra, at)
+    tag = bytes([node_id])
+    return fl(transport, HASH_CALLBACKS, tag, tag, iterations), results[node_id]
+
+
+@pytest.mark.parametrize("fl, n, iterations", FUZZ_RUNS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_fifo_interleaving_gives_the_fifo_result(fl, n, iterations, data):
+    """The held-broadcast rule and the sorted updates make a node's result
+    independent of how its peers' messages interleave."""
+    got, expected = interleaved(fl, n, iterations, data, spliced=False)
+    assert got == expected
+
+
+@pytest.mark.parametrize("fl, n, iterations", FUZZ_RUNS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_spliced_message_returns_or_fails_named(fl, n, iterations, data):
+    """One arbitrary extra message ends the run normally or with a protocol
+    or engine error, never with any other exception and never in a hang."""
+    try:
+        interleaved(fl, n, iterations, data, spliced=True)
+    except (ProtocolError, EngineError):
+        pass
 
 
 # -- failure and validation paths -----------------------------------------

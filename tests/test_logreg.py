@@ -240,6 +240,14 @@ def test_normalize_centers(xs):
     assert abs(sum(zs) / len(zs)) < 1e-7
 
 
+def test_normalize_squares_round_like_ieee():
+    # x * x is one correctly rounded product on every host; x ** 2 is libm's
+    # pow, which on glibc 2.36 rounds 7.838778580498795 ** 2 one ulp up and
+    # so gave +-0.7071067811865475 here.  The exact result is +-sqrt(0.5).
+    x = 7.838778580498795
+    assert normalize([-x, x]) == [-math.sqrt(0.5), math.sqrt(0.5)]
+
+
 def test_normalize_constant_input_with_inexact_mean():
     # 3 * 171.65838931548245 rounds, so the computed mean misses x and every
     # deviation is the same tiny nonzero value; the output is then constant

@@ -164,6 +164,76 @@ def test_read_frame_underdeclared_length():
         b.close()
 
 
+class CutStream:
+    """The read end of a socket pair that, before each read, writes the next
+    cut of ``stream`` to the other end, and closes it after the last cut."""
+
+    def __init__(self, stream, sizes):
+        self.reader, self.writer = socket.socketpair()
+        self.stream, self.sizes, self.pos, self.turn = stream, sizes, 0, 0
+
+    def recv(self, n):
+        if self.pos < len(self.stream):
+            cut = self.stream[self.pos:self.pos + self.sizes[self.turn % len(self.sizes)]]
+            self.writer.sendall(cut)
+            self.pos, self.turn = self.pos + len(cut), self.turn + 1
+        elif self.writer.fileno() != -1:
+            self.writer.close()
+        return self.reader.recv(n)
+
+    def close(self):
+        self.reader.close()
+        self.writer.close()
+
+
+frame_cuts = st.lists(st.integers(1, 64), min_size=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(frames=st.lists(valid_frames, max_size=8), sizes=frame_cuts)
+def test_read_frame_cuts_like_decode_frame(frames, sizes):
+    """Frames that arrive in any cuts read back as decode_frame gives them,
+    then the clean end of the stream reads as None."""
+    raw = [encode_frame(f) for f in frames]
+    stream = CutStream(b"".join(raw), sizes)
+    try:
+        assert [read_frame(stream) for _ in raw] == [decode_frame(r) for r in raw]
+        assert read_frame(stream) is None
+    finally:
+        stream.close()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=64), sizes=frame_cuts)
+def test_read_frame_arbitrary_bytes(data, sizes):
+    """Any bytes read as frames up to a clean end, or fail as framing or
+    protocol errors."""
+    stream = CutStream(data, sizes)
+    try:
+        for _ in range(len(data) + 1):
+            frame = read_frame(stream)
+            if frame is None:
+                break
+            assert isinstance(frame, Frame)
+    except (FramingError, ProtocolError):
+        pass
+    finally:
+        stream.close()
+
+
+def test_read_frame_long_length_prefix_allocates_little():
+    """A prefix announcing 64 MiB that never arrive costs no 64 MiB buffer."""
+    stream = CutStream((64 << 20).to_bytes(4, "big") + bytes([DATA, 1, 0, 1]), [8])
+    tracemalloc.start()
+    try:
+        with pytest.raises(FramingError):
+            read_frame(stream)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+        stream.close()
+
+
 # -- the live transport's framing, over a socket pair -----------------------
 
 
@@ -492,6 +562,22 @@ def test_recv_after_peers_close(port_for):
             handles[1].recv()  # stays failed
     finally:
         handles[1].close()
+
+
+def test_recv_after_peers_close_names_them():
+    ends = {peer: socket.socketpair() for peer in (0, 1)}
+    for mine, _ in ends.values():
+        mine.setblocking(False)
+    handle = TcpTransport(NodeConfig(n_nodes=3, node_id=2),
+                          {peer: mine for peer, (mine, _) in ends.items()})
+    try:
+        for _, theirs in ends.values():
+            theirs.close()
+        with pytest.raises(TransportClosedError,
+                           match=r"^node 2: all peers disconnected \(nodes 0, 1\)$"):
+            handle.recv()
+    finally:
+        handle.close()
 
 
 def test_buffered_message_readable_after_peer_close(port_for):
