@@ -138,6 +138,8 @@ def run_node(args: argparse.Namespace) -> int:
         config = NodeConfig(spec.n_nodes, args.node_id, spec.srv_id, spec.base_port)
     except ValueError as exc:
         raise _UsageExit(str(exc))
+    if args.out is not None and not Path(args.out).parent.is_dir():
+        raise _UsageExit(f"output directory not found: {Path(args.out).parent}")
 
     data, part = _node_partition(spec, args.node_id)
     local = serialize_model(ModelVector(0.0, 0.0))

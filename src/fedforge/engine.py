@@ -33,11 +33,11 @@ update, and a violation raises ``ProtocolError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import FedforgeError
 from .transport import Message, NodeConfig, ProtocolError, TransportError
+from .values import Frozen, set_fields
 
 # client_fn(local_data, private_data, payload) -> update payload
 ClientFn = Callable[[bytes, object, bytes], bytes]
@@ -49,12 +49,13 @@ class EngineError(FedforgeError):
     """A round could not complete; the message names iteration and phase."""
 
 
-@dataclass(frozen=True)
-class CallbackPair:
+class CallbackPair(Frozen):
     """The two application plug-ins a round is parameterized by."""
 
-    server_fn: ServerFn
-    client_fn: ClientFn
+    __slots__ = ("server_fn", "client_fn")
+
+    def __init__(self, server_fn: ServerFn, client_fn: ClientFn):
+        set_fields(self, server_fn, client_fn)
 
 
 def fl_centralized(transport, callbacks: CallbackPair, local_data: bytes,

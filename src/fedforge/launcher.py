@@ -10,17 +10,16 @@ so interleaved logs stay attributable.
 
 from __future__ import annotations
 
-import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .engine import check_run
 from .errors import FedforgeError
 from .logreg import DEFAULT_SPLIT_SEED
 from .transport import DEFAULT_BASE_PORT, NodeConfig
+from .values import Frozen, Value, set_fields
 
 ALGORITHMS = ("centralized", "decentralized")
 # The engine waits forever by design; the launcher is the safety net.
@@ -35,21 +34,18 @@ class LaunchTimeoutError(LauncherError):
     """The watchdog expired; the message lists nodes still running."""
 
 
-@dataclass(frozen=True)
-class LaunchSpec:
+class LaunchSpec(Frozen):
     """Everything needed to start one federated run as local processes."""
 
-    n_nodes: int
-    algorithm: str
-    dataset_path: Path
-    srv_id: int = 0
-    iterations: int = 1
-    base_port: int = DEFAULT_BASE_PORT
-    watchdog_seconds: float = DEFAULT_WATCHDOG_SECONDS
-    split_seed: int = DEFAULT_SPLIT_SEED
-    out_dir: Path | None = None
+    __slots__ = ("n_nodes", "algorithm", "dataset_path", "srv_id", "iterations", "base_port",
+                 "watchdog_seconds", "split_seed", "out_dir")
 
-    def __post_init__(self):
+    def __init__(self, n_nodes: int, algorithm: str, dataset_path: Path, srv_id: int = 0,
+                 iterations: int = 1, base_port: int = DEFAULT_BASE_PORT,
+                 watchdog_seconds: float = DEFAULT_WATCHDOG_SECONDS,
+                 split_seed: int = DEFAULT_SPLIT_SEED, out_dir: Path | None = None):
+        set_fields(self, n_nodes, algorithm, dataset_path, srv_id, iterations, base_port,
+                   watchdog_seconds, split_seed, out_dir)
         check_run(NodeConfig(self.n_nodes, 0, self.srv_id, self.base_port), self.iterations)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
@@ -57,17 +53,18 @@ class LaunchSpec:
             raise ValueError(f"watchdog must be positive, got {self.watchdog_seconds}")
 
 
-@dataclass(frozen=True)
-class SpawnRecord:
-    node_id: int
-    argv: tuple[str, ...]
-    pid: int
+class SpawnRecord(Frozen):
+    __slots__ = ("node_id", "argv", "pid")
+
+    def __init__(self, node_id: int, argv: tuple[str, ...], pid: int):
+        set_fields(self, node_id, argv, pid)
 
 
-@dataclass
-class LaunchResult:
-    records: list[SpawnRecord]
-    exit_codes: list[int]  # node-id order
+class LaunchResult(Value):
+    __slots__ = ("records", "exit_codes")
+
+    def __init__(self, records: list[SpawnRecord], exit_codes: list[int]):
+        set_fields(self, records, exit_codes)  # exit codes in node-id order
 
 
 def node_out_path(out_dir, node_id: int) -> Path:
@@ -100,6 +97,8 @@ def _pump_output(node_id: int, stream, echo) -> None:
 
 
 def _kill_all(procs: list[subprocess.Popen]) -> None:
+    import subprocess  # here, not at the top: cli imports this module, and a node never spawns
+
     for proc in procs:
         if proc.poll() is None:
             proc.terminate()
@@ -120,6 +119,8 @@ def launch(spec: LaunchSpec, echo=print) -> LaunchResult:
     One watchdog budget covers the whole run; on expiry every child is
     killed and the error names the nodes that were still alive.
     """
+    import subprocess
+
     procs: list[subprocess.Popen] = []
     records: list[SpawnRecord] = []
     readers: list[threading.Thread] = []

@@ -18,11 +18,11 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import FedforgeError
 from .rng import SplitMix64, shuffled_indices
+from .values import Frozen, Value, set_field, set_fields
 
 
 class ParseError(FedforgeError):
@@ -45,12 +45,13 @@ class TrainingError(FedforgeError):
     """Training produced a non-finite coefficient."""
 
 
-@dataclass
-class Dataset:
+class Dataset(Value):
     """Rows of (age, purchased) with a label for error messages."""
 
-    rows: list[tuple[float, int]]
-    name: str
+    __slots__ = ("rows", "name")
+
+    def __init__(self, rows: list[tuple[float, int]], name: str):
+        set_fields(self, rows, name)
 
     def ages(self) -> list[float]:
         return [age for age, _ in self.rows]
@@ -59,50 +60,54 @@ class Dataset:
         return [purchased for _, purchased in self.rows]
 
 
-@dataclass
-class SplitData:
-    X_train: list[float]
-    y_train: list[int]
-    X_test: list[float]
-    y_test: list[int]
+class SplitData(Value):
+    __slots__ = ("X_train", "y_train", "X_test", "y_test")
+
+    def __init__(self, X_train: list[float], y_train: list[int],
+                 X_test: list[float], y_test: list[int]):
+        set_fields(self, X_train, y_train, X_test, y_test)
 
 
-@dataclass
-class Partition:
+class Partition(Value):
     """One client's private training slice."""
 
-    X: list[float]
-    Y: list[int]
+    __slots__ = ("X", "Y")
+
+    def __init__(self, X: list[float], Y: list[int]):
+        set_fields(self, X, Y)
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.001
-    epochs: int = 300
+class TrainConfig(Frozen):
+    __slots__ = ("learning_rate", "epochs")
 
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be > 0, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-
-
-@dataclass(frozen=True)
-class ModelVector:
-    b0: float
-    b1: float
+    def __init__(self, learning_rate: float = 0.001, epochs: int = 300):
+        set_fields(self, learning_rate, epochs)
+        if learning_rate <= 0:
+            raise ValueError(f"learning rate must be > 0, got {learning_rate}")
+        if epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {epochs}")
 
 
-@dataclass(frozen=True)
-class Gradient:
-    d_b0: float
-    d_b1: float
+class ModelVector(Frozen):
+    __slots__ = ("b0", "b1")
+
+    def __init__(self, b0: float, b1: float):
+        set_field(self, "b0", b0)
+        set_field(self, "b1", b1)
 
 
-@dataclass
-class EvalResult:
-    y_pred: list[int]
-    accuracy: float
+class Gradient(Frozen):
+    __slots__ = ("d_b0", "d_b1")
+
+    def __init__(self, d_b0: float, d_b1: float):
+        set_fields(self, d_b0, d_b1)
+
+
+class EvalResult(Value):
+    __slots__ = ("y_pred", "accuracy")
+
+    def __init__(self, y_pred: list[int], accuracy: float):
+        set_fields(self, y_pred, accuracy)
 
 
 _SALARY_NAMES = ("EstimatedSalary", "Estimated")

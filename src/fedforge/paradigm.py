@@ -12,7 +12,6 @@ while stages 3 and 4 must match stage 2's aggregate bit for bit.
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import FedforgeError
@@ -34,6 +33,7 @@ from .logreg import (
     train_logreg,
 )
 from .transport import free_base_port
+from .values import Frozen, set_fields
 
 # Tolerances for the report chain.  Zero everywhere the stages compute the
 # same arithmetic; the stage-1 vs stage-2 coefficients genuinely differ
@@ -49,8 +49,7 @@ class SuiteError(FedforgeError):
     """An equivalence-suite leg failed operationally (spawn, exit, files)."""
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(Frozen):
     """Outcome of one staged run.
 
     ``models`` lists the per-client updates first and the aggregate last;
@@ -58,12 +57,10 @@ class RunReport:
     is the aggregate's accuracy on the held-out test rows.
     """
 
-    models: tuple[ModelVector, ...]
-    accuracy: float
-    phase: int
+    __slots__ = ("models", "accuracy", "phase")
 
-    def __post_init__(self):
-        object.__setattr__(self, "models", tuple(self.models))
+    def __init__(self, models: tuple[ModelVector, ...], accuracy: float, phase: int):
+        set_fields(self, tuple(models), accuracy, phase)
         if not self.models:
             raise ValueError("a report needs at least one model")
         if self.phase == 1 and len(self.models) != 1:
@@ -74,8 +71,7 @@ class RunReport:
         return self.models[-1]
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Frozen):
     """Worst-case per-coefficient error between two runs, plus the verdict.
 
     Errors are relative to the reference coefficient, falling back to
@@ -84,14 +80,14 @@ class EquivalenceReport:
     allows coefficient drift but demands equal accuracy).
     """
 
-    reference_phase: int
-    candidate_phase: int
-    err_b0: float
-    err_b1: float
-    accuracy_delta: float
-    eps: float
-    acc_eps: float
-    passed: bool
+    __slots__ = ("reference_phase", "candidate_phase", "err_b0", "err_b1", "accuracy_delta",
+                 "eps", "acc_eps", "passed")
+
+    def __init__(self, reference_phase: int, candidate_phase: int, err_b0: float,
+                 err_b1: float, accuracy_delta: float, eps: float, acc_eps: float,
+                 passed: bool):
+        set_fields(self, reference_phase, candidate_phase, err_b0, err_b1, accuracy_delta, eps,
+                   acc_eps, passed)
 
     def __str__(self) -> str:
         verdict = "pass" if self.passed else "FAIL"

@@ -34,7 +34,6 @@ from __future__ import annotations
 import queue
 import threading
 from collections import deque
-from dataclasses import dataclass
 
 from .rng import SplitMix64
 from .transport import (
@@ -44,6 +43,7 @@ from .transport import (
     TransportError,
     TransportStats,
 )
+from .values import Frozen, set_field
 
 _RUNNING = 0
 _WAITING = 1
@@ -58,14 +58,16 @@ class ScheduleError(TransportError):
     """Delivery schedule rejected at construction (per-pair FIFO violation)."""
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(Frozen):
     """One deliverable message offered to a schedule."""
 
-    src: int
-    pair_index: int  # 0-based position within the (src, dst) stream
-    seq: int  # global send order
-    message: Message
+    __slots__ = ("src", "pair_index", "seq", "message")
+
+    def __init__(self, src: int, pair_index: int, seq: int, message: Message):
+        set_field(self, "src", src)
+        set_field(self, "pair_index", pair_index)  # 0-based position within the (src, dst) stream
+        set_field(self, "seq", seq)  # global send order
+        set_field(self, "message", message)
 
 
 class FifoSchedule:
@@ -278,12 +280,6 @@ def sim_transport(
     ]
 
 
-@dataclass
-class _NodeOutcome:
-    result: object = None
-    error: Exception | None = None
-
-
 def run_nodes(handles: list[SimTransport], node_fn) -> list:
     """Run ``node_fn(handle)`` for every handle, one thread per node.
 
@@ -292,13 +288,14 @@ def run_nodes(handles: list[SimTransport], node_fn) -> list:
     rather than a hang.  The first non-stall error is re-raised; results come
     back in node-id order.
     """
-    outcomes = [_NodeOutcome() for _ in handles]
+    results: list = [None] * len(handles)
+    errors: list[Exception | None] = [None] * len(handles)
 
     def runner(i: int, handle: SimTransport):
         try:
-            outcomes[i].result = node_fn(handle)
+            results[i] = node_fn(handle)
         except Exception as exc:  # noqa: BLE001 - reported to the caller below
-            outcomes[i].error = exc
+            errors[i] = exc
         finally:
             handle.close()
 
@@ -311,8 +308,8 @@ def run_nodes(handles: list[SimTransport], node_fn) -> list:
     for t in threads:
         t.join()
 
-    errors = [o.error for o in outcomes if o.error is not None]
-    if errors:
-        primary = next((e for e in errors if not isinstance(e, SimStallError)), errors[0])
+    failures = [e for e in errors if e is not None]
+    if failures:
+        primary = next((e for e in failures if not isinstance(e, SimStallError)), failures[0])
         raise primary
-    return [o.result for o in outcomes]
+    return results

@@ -37,9 +37,9 @@ import socket
 import struct
 import time
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import FedforgeError
+from .values import Frozen, Value, set_field, set_fields
 
 HELLO = 0
 DATA = 1
@@ -78,17 +78,15 @@ class StartupTimeoutError(TransportError):
     """Startup did not finish within its timeout; the message names the missing peers."""
 
 
-@dataclass(frozen=True)
-class NodeConfig:
+class NodeConfig(Frozen):
     """Static per-run identity and topology of one node; node i listens on
     ``base_port + i``."""
 
-    n_nodes: int
-    node_id: int
-    srv_id: int = 0
-    base_port: int = DEFAULT_BASE_PORT
+    __slots__ = ("n_nodes", "node_id", "srv_id", "base_port")
 
-    def __post_init__(self):
+    def __init__(self, n_nodes: int, node_id: int, srv_id: int = 0,
+                 base_port: int = DEFAULT_BASE_PORT):
+        set_fields(self, n_nodes, node_id, srv_id, base_port)
         if self.n_nodes < 1:
             raise ValueError(f"node count must be >= 1, got {self.n_nodes}")
         if not 0 <= self.node_id < self.n_nodes:
@@ -108,34 +106,34 @@ class NodeConfig:
             raise ValueError(f"invalid destination {dst}")
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Frozen):
     """One wire-level unit; invariants are checked at construction."""
 
-    kind: int
-    phase: int
-    src: int
-    payload: bytes = b""
+    __slots__ = ("kind", "phase", "src", "payload")
 
-    def __post_init__(self):
-        _check_header(self.kind, self.phase, self.src, len(self.payload))
+    def __init__(self, kind: int, phase: int, src: int, payload: bytes = b""):
+        set_fields(self, kind, phase, src, payload)
+        _check_header(kind, phase, src, len(payload))
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(Frozen):
     """A delivered DATA frame as seen by the protocol engine."""
 
-    phase: int
-    src: int
-    payload: bytes
+    __slots__ = ("phase", "src", "payload")
+
+    def __init__(self, phase: int, src: int, payload: bytes):
+        set_field(self, "phase", phase)
+        set_field(self, "src", src)
+        set_field(self, "payload", payload)
 
 
-@dataclass
-class TransportStats:
+class TransportStats(Value):
     """DATA traffic counters, used by protocol-cost assertions in tests."""
 
-    data_sent: int = 0
-    data_received: int = 0
+    __slots__ = ("data_sent", "data_received")
+
+    def __init__(self, data_sent: int = 0, data_received: int = 0):
+        set_fields(self, data_sent, data_received)
 
 
 def _check_header(kind: int, phase: int, src: int, payload_size: int) -> None:

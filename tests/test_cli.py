@@ -3,12 +3,13 @@ exit codes, and a live two-node run driven entirely through main()."""
 
 import os
 import shutil
+import socket
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -46,7 +47,7 @@ from fedforge.logreg import (
     split,
 )
 from fedforge.sim import run_nodes, sim_transport
-from fedforge.transport import DEFAULT_BASE_PORT, free_base_port
+from fedforge.transport import DEFAULT_BASE_PORT, LOCALHOST, free_base_port
 
 HEADER = "User ID,Gender,Age,EstimatedSalary,Purchased\n"
 
@@ -137,6 +138,20 @@ def test_missing_dataset_file(tmp_path, capsys):
     assert "dataset not found" in capsys.readouterr().err
 
 
+def test_node_out_into_missing_directory_fails_before_binding(csv_path, tmp_path, capsys):
+    """The check comes before ``start_node``, so the node exits 1 at once,
+    with no peer running, instead of after a whole run."""
+    port = free_base_port(2)
+    out = tmp_path / "missing" / "node0.bin"
+    start = time.monotonic()
+    assert main(node_argv(csv_path, base_port=port, out=out)) == EXIT_USAGE
+    assert time.monotonic() - start < 2.0
+    assert capsys.readouterr().err.splitlines() == \
+        [f"fedforge: error: output directory not found: {out.parent}"]
+    with socket.create_server((LOCALHOST, port)):
+        pass  # node 0's port was never bound, or was released
+
+
 def test_bad_env_port_is_usage_error(csv_path, monkeypatch, capsys):
     monkeypatch.setenv(BASE_PORT_ENV, "not-a-port")
     assert main(node_argv(csv_path)) == EXIT_USAGE
@@ -173,7 +188,9 @@ def test_spec_round_trips_through_node_argv(csv_path, tmp_path):
                       srv_id=2, iterations=3, base_port=7100, split_seed=7,
                       watchdog_seconds=30.0, out_dir=tmp_path)
     # The watchdog and the output directory stay with the launcher.
-    expected = replace(spec, watchdog_seconds=DEFAULT_WATCHDOG_SECONDS, out_dir=None)
+    expected = LaunchSpec(n_nodes=4, algorithm="decentralized", dataset_path=csv_path,
+                          srv_id=2, iterations=3, base_port=7100, split_seed=7,
+                          watchdog_seconds=DEFAULT_WATCHDOG_SECONDS, out_dir=None)
     for node_id in range(spec.n_nodes):
         args = build_parser().parse_args(_build_node_command(spec, node_id)[3:])
         assert args.node_id == node_id
@@ -378,6 +395,25 @@ def test_golden_bits_under_other_interpreter():
     proc = subprocess.run([other, "-m", "unittest", "tests.test_golden"], cwd=root, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# Modules a `fedforge node` or `launch` process must start without: dataclasses
+# imports inspect, and only the launcher spawns.
+IMPORT_GUARD = ("import sys; before = set(sys.modules); import fedforge.cli; "
+                "new = set(sys.modules) - before; "
+                "print(*sorted(new & {'dataclasses', 'inspect', 'subprocess'}))")
+
+
+@pytest.mark.parametrize("interpreter", ["this", "other"])
+def test_cli_imports_no_dataclasses_inspect_or_subprocess(interpreter):
+    exe = sys.executable if interpreter == "this" else other_interpreter()
+    if exe is None:
+        pytest.skip("no other python3.12/3.13/3.14 on PATH")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([exe, "-c", IMPORT_GUARD], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_launch_subcommand_end_to_end(csv_path, tmp_path, capsys):
