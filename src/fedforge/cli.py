@@ -1,8 +1,8 @@
-"""Command-line surface: `launch` spawns an n-node run, `node` is one instance.
+"""Command-line surface: `launch` starts an n-node run, `node` is one instance.
 
-`launch` is what users invoke; `node` is the form the launcher spawns children
-with.  Both live on the same executable so every process runs identical code
-and differs only by its --id argument.
+`launch` is what users invoke; `node` is what each child of the launcher runs,
+forked or spawned.  Both live on the same executable so every process runs
+identical code and differs only by its --id argument.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def build_parser() -> _Parser:
                         help="kill the run after this many seconds")
     launch.add_argument("--out-dir", default=None, help="directory for per-node result files")
 
-    node = sub.add_parser("node", parents=[run], help="run a single node instance (spawned by launch)")
+    node = sub.add_parser("node", parents=[run], help="run a single node instance (started by launch)")
     node.add_argument("--id", type=int, required=True, dest="node_id")
     node.add_argument("--out", default=None, help="write the final 16-byte model payload here")
 
@@ -110,7 +110,7 @@ def _run_spec(args: argparse.Namespace, **launch_fields) -> LaunchSpec:
 
 def _cmd_launch(args: argparse.Namespace) -> int:
     spec = _run_spec(args, watchdog_seconds=args.watchdog, out_dir=args.out_dir)
-    # Popen reports a death by signal N as -N; that is a runtime failure.
+    # launch reports a death by signal N as -N; that is a runtime failure.
     return max(EXIT_RUNTIME if code < 0 else code for code in launch(spec).exit_codes)
 
 
@@ -132,7 +132,7 @@ def _node_partition(spec: LaunchSpec, node_id: int):
     return data, parts[node_id]
 
 
-def run_node(args: argparse.Namespace) -> int:
+def run_node(args: argparse.Namespace, listener=None) -> int:
     spec = _run_spec(args)
     try:
         config = NodeConfig(spec.n_nodes, args.node_id, spec.srv_id, spec.base_port)
@@ -143,7 +143,7 @@ def run_node(args: argparse.Namespace) -> int:
 
     data, part = _node_partition(spec, args.node_id)
     local = serialize_model(ModelVector(0.0, 0.0))
-    with start_node(config) as transport:
+    with start_node(config, listener=listener) as transport:
         if spec.algorithm == "centralized":
             callbacks = CallbackPair(server_fn=cb_cent_server, client_fn=cb_cent_client)
             final = fl_centralized(transport, callbacks, local, part, iterations=spec.iterations)
@@ -165,13 +165,14 @@ def run_node(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, listener=None) -> int:
+    """Run one command; a launcher that forked this ``node`` passes its bound ``listener``."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "launch":
             return _cmd_launch(args)
-        return run_node(args)
+        return run_node(args, listener)
     except _UsageExit as exc:
         if not exc.printed:
             print(f"fedforge: error: {exc}", file=sys.stderr)

@@ -1,15 +1,20 @@
-"""Spawn one OS process per node and supervise the run.
+"""Start one OS process per node and supervise the run.
 
 Every node runs the identical program (``python -m fedforge node ...``);
-behaviour differs only through the ``--id`` argument.  The launcher is
-also the safety net for the engine's deliberate lack of protocol
-timeouts: a watchdog covers the whole run and kills every child when it
-expires.  Child output is echoed line by line with a ``[node N]`` prefix
-so interleaved logs stay attributable.
+behaviour differs only through the ``--id`` argument.  On POSIX the
+launcher binds every node's listener, then forks each node from itself,
+warm with ``fedforge.cli`` imported, before it starts any thread; so no
+node dials a peer that does not listen yet.  Elsewhere, or for another
+command, it spawns a fresh interpreter per node.  The launcher is also
+the safety net for the engine's deliberate lack of protocol timeouts: a
+watchdog covers the whole run and kills every child when it expires.
+Child output is echoed line by line with a ``[node N]`` prefix so
+interleaved logs stay attributable.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 import time
@@ -18,7 +23,7 @@ from pathlib import Path
 from .engine import check_run
 from .errors import FedforgeError
 from .logreg import DEFAULT_SPLIT_SEED
-from .transport import DEFAULT_BASE_PORT, NodeConfig
+from .transport import DEFAULT_BASE_PORT, NodeConfig, bind_listener
 from .values import Frozen, Value, set_fields
 
 ALGORITHMS = ("centralized", "decentralized")
@@ -96,75 +101,146 @@ def _pump_output(node_id: int, stream, echo) -> None:
     stream.close()
 
 
-def _kill_all(procs: list[subprocess.Popen]) -> None:
-    import subprocess  # here, not at the top: cli imports this module, and a node never spawns
+def _start_reader(node_id: int, proc, echo) -> threading.Thread:
+    reader = threading.Thread(target=_pump_output, args=(node_id, proc.stdout, echo), daemon=True)
+    reader.start()
+    return reader
+
+
+class _Forked:
+    """What ``launch`` uses of ``subprocess.Popen``, for a forked child."""
+
+    def __init__(self, pid: int, stdout):
+        self.pid, self.stdout, self.returncode = pid, stdout, None
+
+    def poll(self) -> int | None:
+        if self.returncode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:  # a signal N reads as -N, as with Popen
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+
+def _fork_node(cmd: list[str], node_id: int, listeners: list, procs: list) -> _Forked:
+    """Fork a child that runs ``cmd``'s node on ``listeners[node_id]`` and
+    writes its output to a pipe.  The child leaves only through ``os._exit``,
+    so it never unwinds into the caller's frames or runs atexit handlers."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return _Forked(pid, open(read))
+    code = 1
+    try:
+        os.close(read)
+        for listener in listeners[:node_id] + listeners[node_id + 1:]:
+            listener.close()
+        for proc in procs:  # the pipes of the children forked before this one
+            proc.stdout.close()
+        os.dup2(write, 1)
+        os.dup2(write, 2)
+        os.close(write)
+        # pytest or an embedding app may have replaced the streams
+        sys.stdout = open(1, "w", closefd=False)
+        sys.stderr = open(2, "w", buffering=1, closefd=False)
+        from .cli import main
+
+        code = main(cmd[3:], listeners[node_id])
+        sys.stdout.flush()
+    except BaseException:  # as a fresh interpreter would: a traceback and exit 1
+        code = 1
+        import traceback
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
+def _kill_all(procs) -> None:
+    """Terminate every child still running, and kill those alive 2 s later."""
+    import signal  # here, not at the top: every node imports this module
 
     for proc in procs:
         if proc.poll() is None:
-            proc.terminate()
+            os.kill(proc.pid, signal.SIGTERM)
     grace = time.monotonic() + 2.0
+    while time.monotonic() < grace and any(proc.poll() is None for proc in procs):
+        time.sleep(0.005)
     for proc in procs:
         if proc.poll() is None:
-            try:
-                proc.wait(timeout=max(0.05, grace - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+            os.kill(proc.pid, getattr(signal, "SIGKILL", signal.SIGTERM))  # none on Windows
+            while proc.poll() is None:
+                time.sleep(0.005)
 
 
 def launch(spec: LaunchSpec, echo=print) -> LaunchResult:
-    """Spawn all nodes, wait for them, return spawn records and exit codes.
+    """Start all nodes, wait for them, return spawn records and exit codes.
 
     ``spec.out_dir`` is created, parents included, before any node starts.
-    One watchdog budget covers the whole run; on expiry every child is
-    killed and the error names the nodes that were still alive.
+    The nodes are forked if ``os.fork`` exists, no other thread is alive and
+    every command is fedforge's own node command.  Then every listener is
+    bound first, so a taken port raises before any node starts.  Any other
+    command is spawned as given.  One watchdog budget covers the whole run;
+    on expiry every child is killed and the error names the nodes that were
+    still alive.
     """
     import subprocess
 
-    procs: list[subprocess.Popen] = []
+    commands = [_build_node_command(spec, i) for i in range(spec.n_nodes)]
+    fork = hasattr(os, "fork") and threading.active_count() == 1 and all(
+        cmd[:4] == [sys.executable, "-m", "fedforge", "node"] for cmd in commands)
+    procs: list = []
     records: list[SpawnRecord] = []
     readers: list[threading.Thread] = []
+    listeners: list = []
     if spec.out_dir is not None:
         Path(spec.out_dir).mkdir(parents=True, exist_ok=True)
     try:
-        for node_id in range(spec.n_nodes):
-            cmd = _build_node_command(spec, node_id)
+        if fork:
+            for node_id in range(spec.n_nodes):
+                listeners.append(bind_listener(
+                    NodeConfig(spec.n_nodes, node_id, spec.srv_id, spec.base_port)))
+            sys.stdout.flush()
+            sys.stderr.flush()
+        for node_id, cmd in enumerate(commands):
             try:
-                proc = subprocess.Popen(
-                    cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                    text=True,
-                )
+                proc = _fork_node(cmd, node_id, listeners, procs) if fork else subprocess.Popen(
+                    cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
             except OSError as exc:
                 raise LauncherError(f"failed to spawn node {node_id}: {exc}") from exc
             procs.append(proc)
             records.append(SpawnRecord(node_id, tuple(cmd), proc.pid))
-            reader = threading.Thread(
-                target=_pump_output, args=(node_id, proc.stdout, echo), daemon=True
-            )
-            reader.start()
-            readers.append(reader)
+            if not fork:  # at once: readers started after every spawn made nodes redial more
+                readers.append(_start_reader(node_id, proc, echo))
+        for listener in listeners:
+            listener.close()
+        if fork:  # a reader is a thread, and no thread may be alive at a fork
+            readers = [_start_reader(node_id, proc, echo) for node_id, proc in enumerate(procs)]
 
         deadline = time.monotonic() + spec.watchdog_seconds
         for proc, reader in zip(procs, readers):
-            # A node's exit closes its stdout, which ends its reader, and a
-            # join wakes at that moment where Popen.wait would poll.  The
-            # poll each second covers a node whose stdout outlives it.
-            while reader.is_alive() and proc.poll() is None:
+            # A node's exit ends its reader, and a join wakes at that moment;
+            # short polls cover the reaping and a node whose stdout outlives it.
+            while proc.poll() is None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    break
-                reader.join(timeout=min(1.0, remaining))
-            try:
-                proc.wait(timeout=max(0.0, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                survivors = [i for i, p in enumerate(procs) if p.poll() is None]
-                _kill_all(procs)
-                raise LaunchTimeoutError(
-                    f"watchdog ({spec.watchdog_seconds:g} s) expired; "
-                    f"nodes still running: {survivors}"
-                ) from None
+                    survivors = [i for i, p in enumerate(procs) if p.poll() is None]
+                    _kill_all(procs)
+                    raise LaunchTimeoutError(
+                        f"watchdog ({spec.watchdog_seconds:g} s) expired; "
+                        f"nodes still running: {survivors}")
+                if reader.is_alive():
+                    reader.join(timeout=min(1.0, remaining))
+                else:
+                    time.sleep(min(0.002, remaining))
         return LaunchResult(records, [p.returncode for p in procs])
     finally:
+        for listener in listeners:
+            listener.close()
         _kill_all(procs)
         for reader in readers:
             reader.join(timeout=5.0)

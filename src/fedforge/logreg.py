@@ -38,7 +38,7 @@ class PartitionError(FedforgeError):
 
 
 class PayloadError(FedforgeError):
-    """Model payload has the wrong size."""
+    """Model payload has the wrong size or a non-finite coefficient."""
 
 
 class TrainingError(FedforgeError):
@@ -389,7 +389,10 @@ def serialize_model(m: ModelVector) -> bytes:
 def deserialize_model(payload: bytes) -> ModelVector:
     if len(payload) != _MODEL_WIRE.size:
         raise PayloadError(f"model payload must be {_MODEL_WIRE.size} bytes, got {len(payload)}")
-    return ModelVector(*_MODEL_WIRE.unpack(payload))
+    b0, b1 = _MODEL_WIRE.unpack(payload)
+    if not (math.isfinite(b0) and math.isfinite(b1)):
+        raise PayloadError(f"model payload holds a non-finite coefficient ({b0}, {b1})")
+    return ModelVector(b0, b1)
 
 
 def cb_cent_client(local_data: bytes | None, private_data: Partition,

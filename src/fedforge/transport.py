@@ -364,7 +364,22 @@ def _read_hello(sock: socket.socket) -> int:
     return frame.src
 
 
-def start_node(config: NodeConfig, timeout: float = 10.0) -> TcpTransport:
+def bind_listener(config: NodeConfig) -> socket.socket:
+    """A socket listening on this node's port, ``base_port + node_id``."""
+    port = config.base_port + config.node_id
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    try:
+        listener.bind((LOCALHOST, port))
+    except OSError as exc:
+        listener.close()
+        raise TransportError(f"cannot bind node {config.node_id} to {port}: {exc}") from exc
+    listener.listen(config.n_nodes)
+    return listener
+
+
+def start_node(config: NodeConfig, timeout: float = 10.0,
+               listener: socket.socket | None = None) -> TcpTransport:
     """Connect this node to every peer and return once the hello barrier releases.
 
     Node i listens on ``base_port + i``, dials every lower id (redialing every
@@ -376,22 +391,16 @@ def start_node(config: NodeConfig, timeout: float = 10.0) -> TcpTransport:
     node 0 waits on no one.  ``timeout`` seconds bound the whole startup;
     past it, :class:`StartupTimeoutError` names the peers still missing.  The
     listener is closed before returning, leaving one non-blocking socket per
-    peer and no thread.
+    peer and no thread.  A ``listener`` from :func:`bind_listener` is used
+    instead of binding one here, and closed all the same.
     """
     deadline = time.monotonic() + timeout
     me = config.node_id
-    port = config.base_port + me
     hello = encode_frame(Frame(HELLO, 0, me))
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     opened: list[socket.socket] = []
     peers: dict[int, socket.socket] = {}
+    listener = listener or bind_listener(config)
     try:
-        try:
-            listener.bind((LOCALHOST, port))
-        except OSError as exc:
-            raise TransportError(f"cannot bind node {me} to {port}: {exc}") from exc
-        listener.listen(config.n_nodes)
         for peer in range(me):
             sock = _connect(config.base_port + peer, deadline)
             opened.append(sock)

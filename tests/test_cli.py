@@ -397,6 +397,49 @@ def test_golden_bits_under_other_interpreter():
     assert proc.returncode == 0, proc.stderr
 
 
+# `fedforge launch` that prints, last, the thread count at each of its forks.
+COUNTED_LAUNCH = """\
+import os, sys, threading
+import fedforge.cli as cli
+real_fork, forks = os.fork, []
+def fork():
+    forks.append(threading.active_count())
+    return real_fork()
+os.fork = fork
+code = cli.main(sys.argv[1:])
+print("forks", *forks)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+def test_forked_star_under_other_interpreter_starts_no_thread_first(tmp_path, monkeypatch):
+    """A launch under another CPython with ``-W error::DeprecationWarning``,
+    which makes 3.12+'s warning about forking a process with threads fatal,
+    forks each node with one thread alive and writes the bytes of a star
+    spawned by this interpreter."""
+    other = other_interpreter()
+    if other is None:
+        pytest.skip("no other python3.12/3.13/3.14 on PATH")
+
+    def argv(name):
+        return ["launch", "--nodes", "3", "--algo", "centralized", "--data",
+                str(bundled_sna_path()), "--base-port", str(free_base_port(3)),
+                "--out-dir", str(tmp_path / name)]
+
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([other, "-W", "error::DeprecationWarning", "-c", COUNTED_LAUNCH,
+                           *argv("forked")], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "forks 1 1 1"
+    monkeypatch.delattr(os, "fork")
+    assert main(argv("spawned")) == EXIT_OK
+    blobs = {name: [(tmp_path / name / f"node{i}.bin").read_bytes() for i in range(3)]
+             for name in ("forked", "spawned")}
+    assert blobs["forked"] == blobs["spawned"]
+
+
 # Modules a `fedforge node` or `launch` process must start without: dataclasses
 # imports inspect, and only the launcher spawns.
 IMPORT_GUARD = ("import sys; before = set(sys.modules); import fedforge.cli; "

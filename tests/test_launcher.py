@@ -1,13 +1,18 @@
-"""Process supervision: spawning one process per node, collecting exit
-codes in node order, the run-wide watchdog, and output echoing."""
+"""Process supervision: starting one process per node, forked or spawned,
+collecting exit codes in node order, the run-wide watchdog, and output
+echoing."""
 
+import os
+import socket
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 import fedforge.launcher as launcher
+from fedforge.cli import EXIT_RUNTIME, main
 from fedforge.launcher import (
     DEFAULT_WATCHDOG_SECONDS,
     LauncherError,
@@ -16,7 +21,8 @@ from fedforge.launcher import (
     launch,
     node_out_path,
 )
-from fedforge.transport import free_base_port
+from fedforge.logreg import bundled_sna_path
+from fedforge.transport import LOCALHOST, _bindable, free_base_port
 
 HEADER = "User ID,Gender,Age,EstimatedSalary,Purchased\n"
 
@@ -227,3 +233,134 @@ def test_ports_released_between_runs(tmp_path):
     )
     for _ in range(2):
         assert launch(spec, echo=lambda _: None).exit_codes == [0, 0]
+
+
+# -- forked nodes (POSIX) -------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+NODE_COMMAND = (sys.executable, "-m", "fedforge", "node")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Wraps ``os.fork``: each fork records the thread count before it and
+    the child's pid, so a silent fall-back to spawning shows as no fork."""
+    made: list[tuple[int, int]] = []
+    real_fork = os.fork
+
+    def fork():
+        threads = threading.active_count()
+        pid = real_fork()
+        if pid:
+            made.append((threads, pid))
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return made
+
+
+def bundled_spec(out_dir, n_nodes, algorithm, iterations, watchdog_seconds=60.0):
+    return LaunchSpec(n_nodes, algorithm, bundled_sna_path(), iterations=iterations,
+                      base_port=free_base_port(n_nodes), watchdog_seconds=watchdog_seconds,
+                      out_dir=out_dir)
+
+
+def launched(spec):
+    lines: list[str] = []
+    result = launch(spec, echo=lines.append)
+    blobs = [node_out_path(spec.out_dir, i).read_bytes() for i in range(spec.n_nodes)]
+    return result, sorted(lines), blobs
+
+
+@needs_fork
+@pytest.mark.parametrize("n_nodes,algorithm,iterations,bundled", [
+    (3, "centralized", 1, True),
+    (2, "decentralized", 3, True),
+    (3, "decentralized", 2, False),
+], ids=["bundled-star3", "bundled-clique2-iters3", "tiny-clique3-iters2"])
+def test_forked_and_spawned_nodes_write_the_same_bytes(tmp_path, monkeypatch, forks,
+                                                       n_nodes, algorithm, iterations, bundled):
+    data = bundled_sna_path() if bundled else tiny_csv(tmp_path)
+
+    def run(name):
+        return launched(LaunchSpec(n_nodes, algorithm, data, iterations=iterations,
+                                   base_port=free_base_port(n_nodes), watchdog_seconds=60.0,
+                                   out_dir=tmp_path / name))
+
+    forked, forked_lines, forked_blobs = run("forked")
+    assert forks == [(1, r.pid) for r in forked.records]  # one thread at every fork
+    monkeypatch.delattr(os, "fork")
+    spawned, spawned_lines, spawned_blobs = run("spawned")
+    assert forked.exit_codes == spawned.exit_codes == [0] * n_nodes
+    assert forked_blobs == spawned_blobs
+    assert {r.argv[:4] for r in forked.records + spawned.records} == {NODE_COMMAND}
+    assert forked_lines == spawned_lines
+    assert [line.split(" b0=")[0] for line in forked_lines] == \
+        [f"[node {i}] node {i}:" for i in range(n_nodes)]
+
+
+@needs_fork
+def test_forked_run_hit_by_the_watchdog_is_reaped(tmp_path, forks):
+    spec = bundled_spec(tmp_path, 3, "centralized", 100_000, watchdog_seconds=1.0)
+    start = time.monotonic()
+    with pytest.raises(LaunchTimeoutError, match=r"nodes still running: \[0, 1, 2\]"):
+        launch(spec, echo=lambda _: None)
+    assert time.monotonic() - start < 10.0
+    assert len(forks) == 3
+    for _, pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@needs_fork
+def test_forked_node_fails_as_a_spawned_one_does(tmp_path, monkeypatch, forks):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(HEADER + "1,Male,nineteen,1,0\n")
+    spec = LaunchSpec(2, "centralized", bad, base_port=free_base_port(2), watchdog_seconds=60.0)
+
+    def run():
+        lines: list[str] = []
+        return launch(spec, echo=lines.append).exit_codes, sorted(lines)
+
+    forked = run()
+    assert len(forks) == 2
+    monkeypatch.delattr(os, "fork")
+    assert forked == run()
+    codes, lines = forked
+    assert codes == [2, 2]
+    assert [line for line in lines if "fedforge: error:" in line and "line 2" in line] == lines
+
+
+@needs_fork
+def test_taken_port_fails_before_any_fork(tmp_path, forks, capsys):
+    base = free_base_port(3)
+    with socket.socket() as taken:
+        taken.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        taken.bind((LOCALHOST, base + 1))
+        taken.listen()
+        start = time.monotonic()
+        code = main(["launch", "--nodes", "3", "--algo", "centralized",
+                     "--data", str(bundled_sna_path()), "--base-port", str(base)])
+        elapsed = time.monotonic() - start
+    assert code == EXIT_RUNTIME
+    assert elapsed < 2.0
+    assert forks == []
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith(f"fedforge: error: cannot bind node 1 to {base + 1}")
+    assert all(_bindable(base + i) for i in range(3))  # node 0's listener was closed
+
+
+@needs_fork
+def test_live_thread_means_spawn(tmp_path, forks):
+    """Forking with another thread alive could copy a held lock into the child."""
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        result, _, blobs = launched(bundled_spec(tmp_path, 2, "decentralized", 1))
+    finally:
+        release.set()
+        other.join()
+    assert forks == []
+    assert result.exit_codes == [0, 0] and blobs[0] == blobs[1]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import exact_standardize, fd_gradient, fold_mean, shuffle_replay
+from fedforge.engine import CallbackPair, fl_centralized
 from fedforge.logreg import (
     Dataset,
     ModelVector,
@@ -38,6 +39,7 @@ from fedforge.logreg import (
     train_logreg,
 )
 from fedforge.rng import SplitMix64
+from fedforge.sim import run_nodes, sim_transport
 
 ZERO = serialize_model(ModelVector(0.0, 0.0))
 
@@ -581,6 +583,23 @@ def test_non_finite_rejected():
         serialize_model(ModelVector(float("nan"), 0.0))
     with pytest.raises(ValueError):
         serialize_model(ModelVector(0.0, float("inf")))
+
+
+@pytest.mark.parametrize("b0,b1", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_non_finite_payload_rejected(b0, b1):
+    """A peer's payload that ``serialize_model`` would refuse is a PayloadError."""
+    with pytest.raises(PayloadError, match="non-finite"):
+        deserialize_model(struct.pack(">dd", b0, b1))
+
+
+def test_star_server_rejects_a_nan_update_with_payload_error():
+    """Over the sim, a client that answers with a NaN model ends the star
+    server with PayloadError, which ``fedforge`` maps to exit 2."""
+    nan_update = struct.pack(">dd", math.nan, 0.0)
+    callbacks = CallbackPair(server_fn=cb_cent_server,
+                             client_fn=lambda local, part, msg: nan_update)
+    with pytest.raises(PayloadError, match="non-finite"):
+        run_nodes(sim_transport(3), lambda handle: fl_centralized(handle, callbacks, ZERO, None))
 
 
 # -- callbacks ------------------------------------------------------------
