@@ -140,6 +140,8 @@ def run_node(args: argparse.Namespace, listener=None) -> int:
         raise _UsageExit(str(exc))
     if args.out is not None and not Path(args.out).parent.is_dir():
         raise _UsageExit(f"output directory not found: {Path(args.out).parent}")
+    if args.out is not None and Path(args.out).is_dir():
+        raise _UsageExit(f"output path is a directory: {args.out}")
 
     data, part = _node_partition(spec, args.node_id)
     local = serialize_model(ModelVector(0.0, 0.0))

@@ -14,6 +14,7 @@ interleaved logs stay attributable.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 import threading
@@ -145,18 +146,19 @@ def _fork_node(cmd: list[str], node_id: int, listeners: list, procs: list) -> _F
         os.dup2(write, 1)
         os.dup2(write, 2)
         os.close(write)
-        # pytest or an embedding app may have replaced the streams
-        sys.stdout = open(1, "w", closefd=False)
-        sys.stderr = open(2, "w", buffering=1, closefd=False)
+        # pytest or an embedding app may have replaced the streams; fds 1 and
+        # 2 are one pipe, so one line-buffered stream keeps the lines in order
+        sys.stdout = sys.stderr = open(1, "w", buffering=1, closefd=False)
         from .cli import main
 
         code = main(cmd[3:], listeners[node_id])
-        sys.stdout.flush()
     except BaseException:  # as a fresh interpreter would: a traceback and exit 1
         code = 1
         import traceback
         traceback.print_exc()
     finally:
+        with contextlib.suppress(OSError, ValueError):  # a line left without its newline
+            sys.stdout.flush()
         os._exit(code)
 
 

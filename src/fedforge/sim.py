@@ -14,7 +14,8 @@ make runs reproducible:
 
 Quiescence also gives free deadlock detection: if nobody is running and no
 delivery is possible, the run can never progress and the simulator raises
-instead of hanging.
+:class:`SimStallError` instead of hanging, which TCP cannot do.  Otherwise
+a handle keeps :mod:`fedforge.transport`'s contract, error texts included.
 
 Each node runs on its own thread, because ``run_nodes`` takes a blocking
 ``node_fn`` (an engine that calls ``recv`` and waits for its answer), and
@@ -25,8 +26,8 @@ into that inbox: the delivered message, or the error of a terminal state
 an inbox never holds more than one, and an item once put cannot be missed.
 The node that makes the network quiescent picks the next delivery and
 puts it in its receiver's inbox, so each delivery is one hand-off between
-threads.  A terminal error is also kept per node, and every later
-``recv`` of that node raises it again at once.
+threads.  A terminal error, or the error of the node's own ``close``, is
+also kept per node, and every later ``recv`` of that node raises it again.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ class SimNetwork:
         self.schedule = schedule
         self.lock = threading.Lock()
         self.inbox = [queue.SimpleQueue() for _ in range(n_nodes)]
-        # error[n]: the terminal state's error, raised by every later recv of n
+        # error[n]: raised by every later recv of n (a terminal state's, or n's close's)
         self.error: list[TransportError | None] = [None] * n_nodes
         self.state = [_RUNNING] * n_nodes
         self.running = n_nodes
@@ -193,8 +194,8 @@ class SimNetwork:
             return
         # Nobody is running and nothing can be delivered: terminal state.
         if len(waiting) == 1 and not self._candidates(waiting[0]):
-            error = TransportClosedError(
-                f"node {waiting[0]}: all peers finished and no message is in flight")
+            peers = ", ".join(str(i) for i in range(self.n_nodes) if i != waiting[0])
+            error = TransportClosedError(f"node {waiting[0]}: all peers disconnected (nodes {peers})")
         else:
             error = SimStallError(f"nodes {waiting} wait forever (no deliverable message)")
         for node in waiting:
@@ -209,15 +210,14 @@ class SimTransport:
         self._net = network
         self.config = config
         self.stats = TransportStats()
-        self._closed = False
 
     def send(self, dst: int, msg: Message) -> None:
         net = self._net
+        src = self.config.node_id
         self.config.check_destination(dst)
         with net.lock:
-            if self._closed:
+            if net.state[src] == _DONE:
                 raise TransportError(f"send to node {dst} failed: sim transport closed")
-            src = self.config.node_id
             pair_index = net.pair_sent[dst][src]
             net.pair_sent[dst][src] = pair_index + 1
             net.in_flight[dst][src].append(Candidate(src, pair_index, net.next_seq, msg))
@@ -228,8 +228,6 @@ class SimTransport:
         net = self._net
         me = self.config.node_id
         with net.lock:
-            if self._closed:
-                raise TransportClosedError("recv on closed sim transport")
             item = net.error[me]
             if item is None:
                 net.state[me] = _WAITING
@@ -244,15 +242,15 @@ class SimTransport:
 
     def close(self) -> None:
         net = self._net
+        me = self.config.node_id
         with net.lock:
-            if self._closed:
+            if net.state[me] == _DONE:
                 return
-            self._closed = True
-            me = self.config.node_id
+            error = net.error[me] = TransportClosedError(f"node {me}: recv on closed transport")
             if net.state[me] == _RUNNING:
                 net.running -= 1
-            elif net.state[me] == _WAITING:  # closed by another thread mid-recv
-                net.inbox[me].put(TransportClosedError("recv on closed sim transport"))
+            else:  # closed by another thread mid-recv
+                net.inbox[me].put(error)
             net.state[me] = _DONE
             net._try_deliver()
 

@@ -21,12 +21,13 @@ HELLO frames are consumed here and never surface to callers.
 
 After the barrier a node runs no thread of its own: its streams turn
 non-blocking, and :class:`TcpTransport` does all I/O on the engine's thread.
-``recv`` waits in ``select`` on every stream that has not ended, reads
-into one preallocated buffer, parses the frames in place there and queues
-their messages in one FIFO inbox, in per-sender order since each sender's
-frames arrive on one stream.  No :class:`Frame` is built for a DATA
-message, sent or received.  A frame that is not DATA from that very peer
-fails the stream.
+``recv`` waits in ``select`` on every stream that has not ended, appends
+what it reads to that stream's buffer, parses the frames in place there
+and queues their messages in one FIFO inbox, in per-sender order since
+each sender's frames arrive on one stream.  No :class:`Frame` is built for
+a DATA message.  A frame that is not DATA from that very peer fails the
+stream.  :class:`fedforge.sim.SimTransport` keeps this module's contract,
+error texts included, and ``tests/test_transport_contract.py`` tests both.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class TransportError(FedforgeError):
 
 
 class TransportClosedError(TransportError):
-    """All peers disconnected and no queued messages remain."""
+    """``recv`` after every peer ended with nothing queued, or after ``close``."""
 
 
 class StartupTimeoutError(TransportError):
@@ -128,7 +129,7 @@ class Message(Frozen):
 
 
 class TransportStats(Value):
-    """DATA traffic counters, used by protocol-cost assertions in tests."""
+    """DATA messages counted as ``send`` and ``recv`` return them."""
 
     __slots__ = ("data_sent", "data_received")
 
@@ -206,10 +207,10 @@ class TcpTransport:
     one thread drives both ends.  ``select`` caps a node near 1,000 streams.
 
     ``send`` packs the header struct and appends the payload in one
-    expression.  Every read lands in one preallocated buffer, and the
-    frames are parsed in place with the same header struct: each message
-    costs one copy of its payload, and only an incomplete last frame is
-    kept, per stream, for the next read.
+    expression.  Every read lands in one preallocated buffer and is
+    appended to its stream's buffer, where the frames are parsed in place
+    with the same header struct: each message costs two copies of its
+    payload, and only an incomplete last frame is kept for the next read.
     """
 
     def __init__(self, config: NodeConfig, peers: dict[int, socket.socket]):
@@ -222,13 +223,15 @@ class TcpTransport:
         # every read lands here first: a fresh bytes object as large as
         # _CHUNK per read would cost an mmap and munmap in glibc malloc
         self._chunk = memoryview(bytearray(_CHUNK))
+        # what recv raises once no stream is left; close replaces it
+        peer_ids = ", ".join(map(str, config.peers()))
+        self._ended = f"node {config.node_id}: all peers disconnected (nodes {peer_ids})"
 
     def _read(self, sock: socket.socket) -> None:
         """Move the complete frames that have arrived on one stream into the inbox.
 
-        Frames are parsed where they lie: in the read buffer when the stream
-        kept no bytes from earlier reads, else in the stream's own buffer
-        once the new bytes are appended to it.  Only an incomplete last
+        The new bytes are appended to the stream's own buffer, and the
+        frames are parsed where they lie there.  Only an incomplete last
         frame is kept for the next read."""
         peer, buf = self._live[sock]
         try:
@@ -238,15 +241,10 @@ class TcpTransport:
                     raise FramingError("connection closed mid-frame")
                 del self._live[sock]
                 return
-            if buf:
-                buf += self._chunk[:size]
-                with memoryview(buf) as view:
-                    used = self._parse(view, len(buf), peer)
-                del buf[:used]
-            else:
-                used = self._parse(self._chunk, size, peer)
-                if used < size:
-                    buf += self._chunk[used:size]
+            buf += self._chunk[:size]
+            with memoryview(buf) as view:
+                used = self._parse(view, len(buf), peer)
+            del buf[:used]
         except BlockingIOError:  # spurious readiness: nothing arrived
             pass
         except (FramingError, ProtocolError, OSError) as exc:
@@ -265,7 +263,6 @@ class TcpTransport:
             _check_header(kind, phase, src, length - _HEADER)
             if kind != DATA or src != peer:
                 raise ProtocolError(f"frame of kind {kind} with src {src}")
-            self.stats.data_received += 1
             self._inbox.append(Message(phase, src, view[pos + _FRAME.size:stop].tobytes()))
             pos = stop
         # a length below the header fails once its 4 bytes are in
@@ -301,18 +298,18 @@ class TcpTransport:
     def recv(self) -> Message:
         while not self._inbox:
             if not self._live:
-                peers = ", ".join(map(str, self.config.peers()))
-                raise TransportClosedError(
-                    f"node {self.config.node_id}: all peers disconnected (nodes {peers})"
-                )
+                raise TransportClosedError(self._ended)
             self._wait([])
         item = self._inbox.popleft()
         if isinstance(item, TransportError):
             raise item
+        self.stats.data_received += 1
         return item
 
     def close(self) -> None:
+        self._ended = f"node {self.config.node_id}: recv on closed transport"
         self._live.clear()
+        self._inbox.clear()
         for sock in self._peers.values():
             sock.close()
 

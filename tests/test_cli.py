@@ -1,6 +1,7 @@
 """Command-line behaviour: flag parsing, base-port precedence, the four
 exit codes, and a live two-node run driven entirely through main()."""
 
+import functools
 import os
 import shutil
 import socket
@@ -139,17 +140,19 @@ def test_missing_dataset_file(tmp_path, capsys):
 
 
 def test_node_out_into_missing_directory_fails_before_binding(csv_path, tmp_path, capsys):
-    """The check comes before ``start_node``, so the node exits 1 at once,
-    with no peer running, instead of after a whole run."""
-    port = free_base_port(2)
-    out = tmp_path / "missing" / "node0.bin"
-    start = time.monotonic()
-    assert main(node_argv(csv_path, base_port=port, out=out)) == EXIT_USAGE
-    assert time.monotonic() - start < 2.0
-    assert capsys.readouterr().err.splitlines() == \
-        [f"fedforge: error: output directory not found: {out.parent}"]
-    with socket.create_server((LOCALHOST, port)):
-        pass  # node 0's port was never bound, or was released
+    """The checks come before ``start_node``, so the node exits 1 at once,
+    with no peer running, instead of after a whole run: for ``--out`` in a
+    missing directory, and for ``--out`` naming a directory."""
+    missing = tmp_path / "missing"
+    for out, error in [(missing / "node0.bin", f"output directory not found: {missing}"),
+                       (tmp_path, f"output path is a directory: {tmp_path}")]:
+        port = free_base_port(2)
+        start = time.monotonic()
+        assert main(node_argv(csv_path, base_port=port, out=out)) == EXIT_USAGE
+        assert time.monotonic() - start < 2.0
+        assert capsys.readouterr().err.splitlines() == [f"fedforge: error: {error}"]
+        with socket.create_server((LOCALHOST, port)):
+            pass  # node 0's port was never bound, or was released
 
 
 def test_bad_env_port_is_usage_error(csv_path, monkeypatch, capsys):
@@ -344,21 +347,35 @@ def test_star_clients_train_their_own_slices(tmp_path):
     assert want[0] != want[2]
 
 
-def other_interpreter() -> str | None:
-    """The first python3.12, 3.13 or 3.14 on PATH that runs and is not this
-    interpreter's version."""
-    for name in ("python3.12", "python3.13", "python3.14"):
-        path = shutil.which(name)
-        if path is None:
-            continue
+@functools.cache
+def other_interpreters() -> dict[str, str]:
+    """One interpreter per CPython minor >= 3.10 other than this one's, as
+    ``{"3.x": path}``, oldest first.  The candidates are ``python3.1x`` on
+    ``PATH``, then ``<dir>/bin/python3`` for each install directory beside
+    this interpreter's; each is probed once per session."""
+    versions = Path(sys.executable).resolve().parents[1].parent
+    candidates = [shutil.which(f"python3.{minor}") for minor in range(10, 20)]
+    candidates += sorted(map(str, versions.glob("*/bin/python3")))
+    found: dict[tuple[int, int], str] = {}
+    for path in filter(None, candidates):
         try:
-            probe = subprocess.run([path, "-c", "import sys; print(sys.version_info[:2])"],
-                                   capture_output=True, text=True, timeout=30)
+            probe = subprocess.run(
+                [path, "-c", "import sys; print(sys.implementation.name, *sys.version_info[:2])"],
+                capture_output=True, text=True, timeout=30)
         except (OSError, subprocess.TimeoutExpired):
             continue
-        if probe.returncode == 0 and probe.stdout.strip() != str(sys.version_info[:2]):
-            return path
-    return None
+        words = probe.stdout.split()
+        if probe.returncode != 0 or len(words) != 3 or words[0] != "cpython":
+            continue
+        version = (int(words[1]), int(words[2]))
+        if version >= (3, 10) and version != sys.version_info[:2]:
+            found.setdefault(version, path)
+    return {"%d.%d" % version: found[version] for version in sorted(found)}
+
+
+def other_interpreter() -> str | None:
+    """The newest of :func:`other_interpreters`, or None."""
+    return next(reversed(other_interpreters().values()), None)
 
 
 def test_mixed_interpreter_clique_writes_golden_bytes(tmp_path):
@@ -366,7 +383,7 @@ def test_mixed_interpreter_clique_writes_golden_bytes(tmp_path):
     the golden payloads, so the zero-ulp chain holds across interpreters."""
     other = other_interpreter()
     if other is None:
-        pytest.skip("no other python3.12/3.13/3.14 on PATH")
+        pytest.skip("no other CPython >= 3.10 found")
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     port = free_base_port(2)
@@ -384,12 +401,10 @@ def test_mixed_interpreter_clique_writes_golden_bytes(tmp_path):
     assert tuple(p.read_bytes() for p in outs) == CLIQUE_PAYLOADS
 
 
-def test_golden_bits_under_other_interpreter():
-    """``tests/test_golden.py`` passes under another CPython too, so its
-    bits do not depend on the interpreter that collects this suite."""
-    other = other_interpreter()
-    if other is None:
-        pytest.skip("no other python3.12/3.13/3.14 on PATH")
+@pytest.mark.parametrize("other", [*other_interpreters().values()], ids=[*other_interpreters()])
+def test_golden_bits_under_other_interpreter(other):
+    """``tests/test_golden.py`` passes under every other CPython minor found,
+    so its bits do not depend on the interpreter that collects this suite."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run([other, "-m", "unittest", "tests.test_golden"], cwd=root, env=env,
@@ -420,7 +435,7 @@ def test_forked_star_under_other_interpreter_starts_no_thread_first(tmp_path, mo
     spawned by this interpreter."""
     other = other_interpreter()
     if other is None:
-        pytest.skip("no other python3.12/3.13/3.14 on PATH")
+        pytest.skip("no other CPython >= 3.10 found")
 
     def argv(name):
         return ["launch", "--nodes", "3", "--algo", "centralized", "--data",
@@ -447,11 +462,9 @@ IMPORT_GUARD = ("import sys; before = set(sys.modules); import fedforge.cli; "
                 "print(*sorted(new & {'dataclasses', 'inspect', 'subprocess'}))")
 
 
-@pytest.mark.parametrize("interpreter", ["this", "other"])
-def test_cli_imports_no_dataclasses_inspect_or_subprocess(interpreter):
-    exe = sys.executable if interpreter == "this" else other_interpreter()
-    if exe is None:
-        pytest.skip("no other python3.12/3.13/3.14 on PATH")
+@pytest.mark.parametrize("exe", [sys.executable, *other_interpreters().values()],
+                         ids=["this", *other_interpreters()])
+def test_cli_imports_no_dataclasses_inspect_or_subprocess(exe):
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run([exe, "-c", IMPORT_GUARD], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=60)

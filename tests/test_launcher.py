@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import fedforge.cli as cli
 import fedforge.launcher as launcher
 from fedforge.cli import EXIT_RUNTIME, main
 from fedforge.launcher import (
@@ -329,6 +330,27 @@ def test_forked_node_fails_as_a_spawned_one_does(tmp_path, monkeypatch, forks):
     codes, lines = forked
     assert codes == [2, 2]
     assert [line for line in lines if "fedforge: error:" in line and "line 2" in line] == lines
+
+
+@needs_fork
+def test_forked_node_dying_of_an_exception_echoes_its_output_first(tmp_path, monkeypatch, forks):
+    """What a node printed before an uncaught exception is echoed, before
+    the traceback, though the child leaves through ``os._exit``."""
+    def run_node(args, listener=None):
+        print(f"node {args.node_id} was here")
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_node", run_node)
+    spec = LaunchSpec(2, "centralized", tiny_csv(tmp_path), base_port=free_base_port(2),
+                      watchdog_seconds=60.0)
+    lines: list[str] = []
+    assert launch(spec, echo=lines.append).exit_codes == [1, 1]
+    assert len(forks) == 2
+    for i in range(2):
+        echoed = [line for line in lines if line.startswith(f"[node {i}] ")]
+        assert echoed[:2] == [f"[node {i}] node {i} was here",
+                              f"[node {i}] Traceback (most recent call last):"]
+        assert echoed[-1] == f"[node {i}] RuntimeError: boom"
 
 
 @needs_fork
