@@ -20,6 +20,16 @@ from fedforge.sim import (
 from fedforge.transport import Message, TransportClosedError
 
 
+def test_single_threaded_delivery():
+    a, b = sim_transport(2)
+    a.send(1, Message(1, 0, b"hi"))
+    a.close()
+    assert b.recv() == Message(1, 0, b"hi")
+    with pytest.raises(TransportClosedError):
+        b.recv()  # sender is done and nothing is in flight
+    b.close()
+
+
 def test_fifo_schedule_is_global_send_order():
     handles = sim_transport(3, FifoSchedule())
     handles[0].send(2, Message(1, 0, b"a"))
@@ -127,6 +137,18 @@ def test_mutual_wait_stalls():
         return handle.recv()  # both sides wait forever
 
     with pytest.raises(SimStallError):
+        run_nodes(handles, node)
+
+
+def test_peer_gone_surfaces_as_closed():
+    handles = sim_transport(2)
+
+    def node(handle):
+        if handle.config.node_id == 1:
+            return "done"
+        return handle.recv()
+
+    with pytest.raises(TransportClosedError):
         run_nodes(handles, node)
 
 

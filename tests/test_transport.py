@@ -349,6 +349,27 @@ def test_send_writes_the_encoded_frame(size):
 # -- live transport -------------------------------------------------------
 
 
+def test_send_recv_identical_fields(port_for):
+    handles = start_all(2, port_for(2))
+    try:
+        sent = Message(phase=1, src=0, payload=b"\x00\x01\xff model bytes")
+        handles[0].send(1, sent)
+        assert handles[1].recv() == sent
+    finally:
+        close_all(handles)
+
+
+def test_per_pair_fifo(port_for):
+    handles = start_all(2, port_for(2))
+    try:
+        for i in range(20):
+            handles[0].send(1, Message(1, 0, bytes([i])))
+        got = [handles[1].recv().payload[0] for i in range(20)]
+        assert got == list(range(20))
+    finally:
+        close_all(handles)
+
+
 @pytest.mark.parametrize("senders", [(0,), (0, 1)], ids=["one-way", "both-ways"])
 def test_large_payload_intact(port_for, senders):
     """16 MiB frames, far above the socket buffers; with both nodes sending
@@ -529,6 +550,47 @@ def test_port_already_bound(port_for):
             start_node(NodeConfig(n_nodes=1, node_id=0, base_port=base))
     finally:
         blocker.close()
+
+
+def test_recv_after_peers_close(port_for):
+    handles = start_all(2, port_for(2))
+    handles[0].close()
+    try:
+        with pytest.raises(TransportClosedError):
+            handles[1].recv()
+        with pytest.raises(TransportClosedError):
+            handles[1].recv()  # stays failed
+    finally:
+        handles[1].close()
+
+
+def test_recv_after_peers_close_names_them():
+    ends = {peer: socket.socketpair() for peer in (0, 1)}
+    for mine, _ in ends.values():
+        mine.setblocking(False)
+    handle = TcpTransport(NodeConfig(n_nodes=3, node_id=2),
+                          {peer: mine for peer, (mine, _) in ends.items()})
+    try:
+        for _, theirs in ends.values():
+            theirs.close()
+        with pytest.raises(TransportClosedError,
+                           match=r"^node 2: all peers disconnected \(nodes 0, 1\)$"):
+            handle.recv()
+    finally:
+        handle.close()
+
+
+def test_buffered_message_readable_after_peer_close(port_for):
+    handles = start_all(2, port_for(2))
+    try:
+        handles[0].send(1, Message(1, 0, b"last words"))
+        time.sleep(0.2)  # let the bytes land before the close
+        handles[0].close()
+        assert handles[1].recv().payload == b"last words"
+        with pytest.raises(TransportClosedError):
+            handles[1].recv()
+    finally:
+        handles[1].close()
 
 
 def test_ports_released_after_close(port_for):
