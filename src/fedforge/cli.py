@@ -110,6 +110,11 @@ def _run_spec(args: argparse.Namespace, **launch_fields) -> LaunchSpec:
 
 def _cmd_launch(args: argparse.Namespace) -> int:
     spec = _run_spec(args, watchdog_seconds=args.watchdog, out_dir=args.out_dir)
+    if args.out_dir is not None:  # launch creates it; a file on its path is a usage error
+        out_dir = Path(args.out_dir)
+        existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        if not existing.is_dir():
+            raise _UsageExit(f"output directory blocked by a file: {existing}")
     # launch reports a death by signal N as -N; that is a runtime failure.
     return max(EXIT_RUNTIME if code < 0 else code for code in launch(spec).exit_codes)
 

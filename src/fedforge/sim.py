@@ -7,27 +7,31 @@ make runs reproducible:
 * Per-pair FIFO is structural: for every (src, dst) pair only the oldest
   undelivered message is ever offered to the schedule, so no schedule can
   reorder one sender's messages to one receiver.
-* Deliveries happen only at quiescent points, when every node is either
-  blocked in ``recv`` or finished.  The set of deliverable messages at each
-  decision point is then a pure function of the engines' behaviour and the
-  schedule's previous choices, never of thread timing.
+* One node runs at a time, and holds the turn until it calls ``recv`` or
+  ``close``.  So the global send order ``seq`` and the messages deliverable
+  at each decision point follow from the engines and the schedule's earlier
+  choices, never from thread timing.
 
-Quiescence also gives free deadlock detection: if nobody is running and no
-delivery is possible, the run can never progress and the simulator raises
-:class:`SimStallError` instead of hanging, which TCP cannot do.  Otherwise
-a handle keeps :mod:`fedforge.transport`'s contract, error texts included.
+An ended turn goes, by the first rule that applies, to:
 
-Each node runs on its own thread, because ``run_nodes`` takes a blocking
-``node_fn`` (an engine that calls ``recv`` and waits for its answer), and
-a blocked call needs a stack to wait on.  Each node has one inbox queue.
-Whatever moves a node out of its wait in ``recv`` puts exactly one item
-into that inbox: the delivered message, or the error of a terminal state
-(a stall, or every peer finished).  ``recv`` takes one item per wait, so
-an inbox never holds more than one, and an item once put cannot be missed.
-The node that makes the network quiescent picks the next delivery and
-puts it in its receiver's inbox, so each delivery is one hand-off between
-threads.  A terminal error, or the error of the node's own ``close``, is
-also kept per node, and every later ``recv`` of that node raises it again.
+1. the lowest-id node that ``run_nodes`` has not started yet;
+2. the lowest-id waiting node that holds a terminal error;
+3. the first waiting node, in id order, that the schedule delivers to;
+4. the lowest-id waiting node, once every waiting node has a terminal
+   error: ``TransportClosedError`` if every other node has closed and
+   nothing is in flight to it, else :class:`SimStallError`, where TCP
+   would hang.
+
+That error, or the one of the node's own ``close``, is raised again by
+every later ``recv`` of the node.  Otherwise a handle keeps
+:mod:`fedforge.transport`'s contract, error texts included.
+
+``run_nodes`` gives each node a thread, as ``node_fn`` blocks in ``recv``.
+Handing over the turn marks the next node running and puts one item in its
+queue (nothing, to start it, a message or an error): the passing node's
+last write before it waits on its own queue, and the only synchronisation.
+Handles driven from one thread outside ``run_nodes`` leave every turn with
+it: their ``recv`` never blocks, but returns a delivery or raises at once.
 """
 
 from __future__ import annotations
@@ -46,9 +50,10 @@ from .transport import (
 )
 from .values import Frozen, set_field
 
-_RUNNING = 0
-_WAITING = 1
-_DONE = 2
+_NEW = 0  # not yet started by run_nodes
+_RUNNING = 1
+_WAITING = 2
+_DONE = 3
 
 
 class SimStallError(TransportError):
@@ -151,12 +156,10 @@ class SimNetwork:
     def __init__(self, n_nodes: int, schedule):
         self.n_nodes = n_nodes
         self.schedule = schedule
-        self.lock = threading.Lock()
-        self.inbox = [queue.SimpleQueue() for _ in range(n_nodes)]
+        self.turn = [queue.SimpleQueue() for _ in range(n_nodes)]
         # error[n]: raised by every later recv of n (a terminal state's, or n's close's)
         self.error: list[TransportError | None] = [None] * n_nodes
-        self.state = [_RUNNING] * n_nodes
-        self.running = n_nodes
+        self.state = [_RUNNING] * n_nodes  # run_nodes marks all but node 0 _NEW
         # in_flight[dst][src]: that pair's undelivered messages, oldest first
         self.in_flight: list[list[deque[Candidate]]] = [
             [deque() for _ in range(n_nodes)] for _ in range(n_nodes)
@@ -165,42 +168,42 @@ class SimNetwork:
         self.next_seq = 0
         self.delivery_log: list[tuple[int, int, int, int]] = []  # (dst, src, seq, phase)
 
-    # All helpers below assume self.lock is held.
-
     def _candidates(self, dst: int) -> list[Candidate]:
         return [pending[0] for pending in self.in_flight[dst] if pending]
 
-    def _resume(self, node: int, item: Message | TransportError) -> None:
-        self.state[node] = _RUNNING
-        self.running += 1
-        self.inbox[node].put(item)
-
-    def _try_deliver(self) -> None:
-        if self.running:
-            return
+    def _pass_turn(self) -> None:
+        """End the calling node's turn: hand it to the node that runs next."""
         waiting = [n for n in range(self.n_nodes) if self.state[n] == _WAITING]
-        if not waiting:
-            return
+        if _NEW in self.state or waiting:
+            node, item = self._next_turn(waiting)
+            self.state[node] = _RUNNING
+            self.turn[node].put(item)  # the last write before the caller waits
+
+    def _next_turn(self, waiting: list[int]) -> tuple[int, Message | TransportError | None]:
+        """The node that runs next, and the item that starts or resumes it."""
+        if _NEW in self.state:
+            return self.state.index(_NEW), None
+        first = waiting[0]
+        # A terminal state sets every waiter's error, and a node that holds
+        # one never waits again: so all waiters hold one, or none does.
+        if self.error[first] is not None:
+            return first, self.error[first]
         for node in waiting:
             candidates = self._candidates(node)
-            if not candidates:
-                continue
-            chosen = self.schedule.choose(node, candidates)
-            if chosen is None:
-                continue
-            self.in_flight[node][chosen.src].popleft()
-            self.delivery_log.append((node, chosen.src, chosen.seq, chosen.message.phase))
-            self._resume(node, chosen.message)
-            return
-        # Nobody is running and nothing can be delivered: terminal state.
-        if len(waiting) == 1 and not self._candidates(waiting[0]):
-            peers = ", ".join(str(i) for i in range(self.n_nodes) if i != waiting[0])
-            error = TransportClosedError(f"node {waiting[0]}: all peers disconnected (nodes {peers})")
+            chosen = candidates and self.schedule.choose(node, candidates)
+            if chosen:
+                self.in_flight[node][chosen.src].popleft()
+                self.delivery_log.append((node, chosen.src, chosen.seq, chosen.message.phase))
+                return node, chosen.message
+        # Nothing can be delivered: terminal state.
+        if self.state.count(_DONE) == self.n_nodes - 1 and not self._candidates(first):
+            peers = ", ".join(str(i) for i in range(self.n_nodes) if i != first)
+            error = TransportClosedError(f"node {first}: all peers disconnected (nodes {peers})")
         else:
             error = SimStallError(f"nodes {waiting} wait forever (no deliverable message)")
         for node in waiting:
             self.error[node] = error
-            self._resume(node, error)
+        return first, error
 
 
 class SimTransport:
@@ -215,26 +218,22 @@ class SimTransport:
         net = self._net
         src = self.config.node_id
         self.config.check_destination(dst)
-        with net.lock:
-            if net.state[src] == _DONE:
-                raise TransportError(f"send to node {dst} failed: sim transport closed")
-            pair_index = net.pair_sent[dst][src]
-            net.pair_sent[dst][src] = pair_index + 1
-            net.in_flight[dst][src].append(Candidate(src, pair_index, net.next_seq, msg))
-            net.next_seq += 1
-            self.stats.data_sent += 1
+        if net.state[src] == _DONE:
+            raise TransportError(f"send to node {dst} failed: transport closed")
+        pair_index = net.pair_sent[dst][src]
+        net.pair_sent[dst][src] = pair_index + 1
+        net.in_flight[dst][src].append(Candidate(src, pair_index, net.next_seq, msg))
+        net.next_seq += 1
+        self.stats.data_sent += 1
 
     def recv(self) -> Message:
         net = self._net
         me = self.config.node_id
-        with net.lock:
-            item = net.error[me]
-            if item is None:
-                net.state[me] = _WAITING
-                net.running -= 1
-                net._try_deliver()
+        item = net.error[me]
         if item is None:
-            item = net.inbox[me].get()
+            net.state[me] = _WAITING
+            net._pass_turn()
+            item = net.turn[me].get()
         if isinstance(item, TransportError):
             raise type(item)(*item.args)
         self.stats.data_received += 1
@@ -243,16 +242,10 @@ class SimTransport:
     def close(self) -> None:
         net = self._net
         me = self.config.node_id
-        with net.lock:
-            if net.state[me] == _DONE:
-                return
-            error = net.error[me] = TransportClosedError(f"node {me}: recv on closed transport")
-            if net.state[me] == _RUNNING:
-                net.running -= 1
-            else:  # closed by another thread mid-recv
-                net.inbox[me].put(error)
+        if net.state[me] != _DONE:
+            net.error[me] = TransportClosedError(f"node {me}: recv on closed transport")
             net.state[me] = _DONE
-            net._try_deliver()
+            net._pass_turn()
 
     def __enter__(self) -> "SimTransport":
         return self
@@ -261,11 +254,7 @@ class SimTransport:
         self.close()
 
 
-def sim_transport(
-    n_nodes: int,
-    schedule=None,
-    srv_id: int = 0,
-) -> list[SimTransport]:
+def sim_transport(n_nodes: int, schedule=None, srv_id: int = 0) -> list[SimTransport]:
     """Create one connected in-memory transport handle per node.
 
     There is no hello barrier to wait for: handles can be used at once,
@@ -279,7 +268,8 @@ def sim_transport(
 
 
 def run_nodes(handles: list[SimTransport], node_fn) -> list:
-    """Run ``node_fn(handle)`` for every handle, one thread per node.
+    """Run ``node_fn(handle)`` for every handle of one network, in id order,
+    one thread per node; node 0 starts at once, the others at their turn.
 
     Handles are closed when their node function returns or raises, so a
     crashed node surfaces as a stall or closed-transport error on its peers
@@ -288,8 +278,12 @@ def run_nodes(handles: list[SimTransport], node_fn) -> list:
     """
     results: list = [None] * len(handles)
     errors: list[Exception | None] = [None] * len(handles)
+    for handle in handles[1:]:
+        handle._net.state[handle.config.node_id] = _NEW
 
     def runner(i: int, handle: SimTransport):
+        if i:
+            handle._net.turn[i].get()
         try:
             results[i] = node_fn(handle)
         except Exception as exc:  # noqa: BLE001 - reported to the caller below
@@ -308,6 +302,5 @@ def run_nodes(handles: list[SimTransport], node_fn) -> list:
 
     failures = [e for e in errors if e is not None]
     if failures:
-        primary = next((e for e in failures if not isinstance(e, SimStallError)), failures[0])
-        raise primary
+        raise next((e for e in failures if not isinstance(e, SimStallError)), failures[0])
     return results

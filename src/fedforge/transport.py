@@ -292,7 +292,8 @@ class TcpTransport:
                     break
                 data = memoryview(data)[sent:]
         except OSError as exc:
-            raise TransportError(f"send to node {dst} failed: {exc}") from exc
+            reason = "transport closed" if sock.fileno() == -1 else exc  # -1: close() ran
+            raise TransportError(f"send to node {dst} failed: {reason}") from exc
         self.stats.data_sent += 1
 
     def recv(self) -> Message:

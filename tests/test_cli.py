@@ -128,6 +128,21 @@ def test_bad_run_flag_is_usage_error(csv_path, monkeypatch, capsys,
     assert capsys.readouterr().err.splitlines() == [f"fedforge: error: {message}"]
 
 
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+def test_launch_out_dir_blocked_by_file_is_usage_error(csv_path, tmp_path, monkeypatch, capsys,
+                                                       below):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a rejected run must not spawn or bind")
+
+    monkeypatch.setattr(cli, "launch", unreachable)
+    blocker = tmp_path / "results"
+    blocker.write_text("")
+    argv = run_argv("launch", csv_path, out_dir=blocker / below)
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == \
+        [f"fedforge: error: output directory blocked by a file: {blocker}"]
+
+
 def test_node_id_out_of_range(csv_path, capsys):
     assert main(node_argv(csv_path, id="5")) == EXIT_USAGE
     assert "node id 5 outside [0, 2)" in capsys.readouterr().err
@@ -304,15 +319,36 @@ def test_clique_trains_own_update_once_per_run(tmp_path, monkeypatch, capsys):
     assert codes == [EXIT_OK, EXIT_OK]
     assert sorted(calls.values()) == [rounds + 1, rounds + 1]
 
-    data = split(load_sna_csv(bundled_sna_path()), TEST_FRACTION, CLIQUE_SPLIT_SEED)
-    parts = partition_horizontal(data.X_train, data.y_train, 2)
-    assert parts[0] != parts[1]
-    zero = serialize_model(ModelVector(0.0, 0.0))
-    retrained = CallbackPair(server_fn=cb_decent_server, client_fn=cb_cent_client)
-    want = run_nodes(sim_transport(2), lambda handle: fl_decentralized(
-        handle, retrained, zero, parts[handle.config.node_id], iterations=rounds))
+    want = sim_reference("decentralized", 2, rounds=rounds)
     assert [p.read_bytes() for p in outs] == want
     assert want[0] != want[1]
+
+
+def sim_reference(algo, n_nodes, srv_id=0, rounds=1):
+    """Every node's final payload of a run over the bundled data on split
+    seed 1, computed in-process by the sim.  A star client trains the slice
+    at its place among the clients; a clique node retrains its own update
+    every round, as ``cb_decent_server`` does."""
+    data = split(load_sna_csv(bundled_sna_path()), TEST_FRACTION, CLIQUE_SPLIT_SEED)
+    zero = serialize_model(ModelVector(0.0, 0.0))
+    if algo == "centralized":
+        clients = [i for i in range(n_nodes) if i != srv_id]
+        parts = partition_horizontal(data.X_train, data.y_train, len(clients))
+        callbacks = CallbackPair(server_fn=cb_cent_server, client_fn=cb_cent_client)
+
+        def node(handle):
+            me = handle.config.node_id
+            part = parts[clients.index(me)] if me in clients else None
+            return fl_centralized(handle, callbacks, zero, part, iterations=rounds)
+    else:
+        parts = partition_horizontal(data.X_train, data.y_train, n_nodes)
+        callbacks = CallbackPair(server_fn=cb_decent_server, client_fn=cb_cent_client)
+
+        def node(handle):
+            return fl_decentralized(handle, callbacks, zero, parts[handle.config.node_id],
+                                    iterations=rounds)
+
+    return run_nodes(sim_transport(n_nodes, srv_id=srv_id), node)
 
 
 def test_star_clients_train_their_own_slices(tmp_path):
@@ -330,19 +366,7 @@ def test_star_clients_train_their_own_slices(tmp_path):
         codes = list(pool.map(main, argvs))
     assert codes == [EXIT_OK] * 3
 
-    data = split(load_sna_csv(bundled_sna_path()), TEST_FRACTION, CLIQUE_SPLIT_SEED)
-    parts = partition_horizontal(data.X_train, data.y_train, 2)
-    assert parts[0] != parts[1]
-    clients = [0, 2]
-    zero = serialize_model(ModelVector(0.0, 0.0))
-    callbacks = CallbackPair(server_fn=cb_cent_server, client_fn=cb_cent_client)
-
-    def star_node(handle):
-        node_id = handle.config.node_id
-        part = parts[clients.index(node_id)] if node_id in clients else None
-        return fl_centralized(handle, callbacks, zero, part)
-
-    want = run_nodes(sim_transport(3, srv_id=1), star_node)
+    want = sim_reference("centralized", 3, srv_id=1, rounds=1)
     assert [p.read_bytes() for p in outs] == want
     assert want[0] != want[2]
 
@@ -408,6 +432,55 @@ def test_golden_bits_under_other_interpreter(other):
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run([other, "-m", "unittest", "tests.test_golden"], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def every_interpreter() -> dict[str, str]:
+    """This interpreter and :func:`other_interpreters`, oldest first."""
+    found = {"%d.%d" % sys.version_info[:2]: sys.executable, **other_interpreters()}
+    return dict(sorted(found.items(), key=lambda item: tuple(map(int, item[0].split(".")))))
+
+
+@pytest.mark.parametrize("algo, srv_id", [("centralized", 1), ("decentralized", 0)],
+                         ids=[f"{topology}-{'+'.join(every_interpreter())}"
+                              for topology in ("star", "clique")])
+def test_one_node_per_interpreter_writes_the_sim_bytes(tmp_path, algo, srv_id):
+    """One ``fedforge node`` per CPython minor found, this one's included,
+    in a TCP star with server 1 and in a clique, 3 rounds each: every node
+    writes the bytes of the in-process sim reference."""
+    if not other_interpreters():
+        pytest.skip("no other CPython >= 3.10 found")
+    exes = list(every_interpreter().values())
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    port = free_base_port(len(exes))
+    outs = [tmp_path / f"node{i}.bin" for i in range(len(exes))]
+    procs = [subprocess.Popen(
+        [exe, "-m", "fedforge", *node_argv(bundled_sna_path(), id=i, nodes=len(exes),
+                                           srv_id=srv_id, algo=algo, iters=3,
+                                           seed=CLIQUE_SPLIT_SEED, base_port=port,
+                                           out=outs[i])],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        for i, exe in enumerate(exes)]
+    try:
+        logs = [proc.communicate(timeout=60)[0] for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.communicate()
+    assert [proc.returncode for proc in procs] == [EXIT_OK] * len(exes), logs
+    assert [p.read_bytes() for p in outs] == sim_reference(algo, len(exes), srv_id, rounds=3)
+
+
+@pytest.mark.parametrize("other", [*other_interpreters().values()], ids=[*other_interpreters()])
+def test_value_contract_under_other_interpreter(other):
+    """``tests/test_values_nan.py``, the value-class contract's case that
+    ``dataclasses`` answers differently on 3.13, passes under every other
+    CPython minor found."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([other, "-m", "unittest", "tests.test_values_nan"], cwd=root, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 

@@ -2,7 +2,6 @@
 schedule deterministically, and turn every dead end into an error, not a hang."""
 
 import itertools
-import threading
 import time
 
 import pytest
@@ -177,21 +176,20 @@ def test_run_nodes_prefers_real_error_over_stall():
         run_nodes(handles, node)
 
 
-def test_close_from_another_thread_ends_a_waiting_recv():
-    a, b = sim_transport(2)
-    raised = []
+def test_sends_are_numbered_in_turn_order_not_thread_timing():
+    """Node 0 sleeps before it sends, yet its sends get the lowest ``seq``:
+    each node runs until it waits, and nodes start in id order."""
+    handles = sim_transport(3, FifoSchedule())
 
-    def wait():
-        t0 = time.monotonic()
-        with pytest.raises(TransportClosedError):
-            a.recv()
-        raised.append(time.monotonic() - t0)
+    def node(handle):
+        me = handle.config.node_id
+        if me == 0:
+            time.sleep(0.05)
+        for dst in handle.config.peers():
+            handle.send(dst, Message(1, me, b""))
+        return [handle.recv().src for _ in range(2)]
 
-    waiter = threading.Thread(target=wait, daemon=True)
-    waiter.start()
-    time.sleep(0.05)  # b is still running, so a's recv blocks
-    a.close()
-    waiter.join(timeout=5)
-    assert not waiter.is_alive()
-    assert raised and raised[0] < 0.4
-    b.close()
+    assert run_nodes(handles, node) == [[1, 2], [0, 2], [0, 1]]
+    log = handles[0]._net.delivery_log
+    assert sorted((seq, src) for _, src, seq, _ in log) == \
+        [(0, 0), (1, 0), (2, 1), (3, 1), (4, 2), (5, 2)]

@@ -8,7 +8,6 @@ which message a schedule is offered, or when, changes it."""
 import hashlib
 import sys
 import threading
-import time
 
 from fedforge.engine import CallbackPair, fl_centralized, fl_decentralized
 from fedforge.sim import (
@@ -19,7 +18,7 @@ from fedforge.sim import (
     run_nodes,
     sim_transport,
 )
-from fedforge.transport import TransportClosedError
+from fedforge.transport import TransportClosedError, TransportError
 
 ORDER_DIGEST = "ee3f2c7a44c2571f3097ee9a5d33c5188da5f540e1887b990254a44e7324dec0"
 
@@ -60,64 +59,58 @@ def test_delivery_order_digest():
     assert digest.hexdigest() == ORDER_DIGEST
 
 
-def _recv_in_threads(handles, closers=()):
-    """Call ``recv`` on every handle from its own thread, then close
-    ``closers`` from this one; return each receiver's exception and the
-    seconds it waited."""
-    outcomes = {}
+def _run_bounded(handles, node_fn):
+    """``run_nodes`` that must end within 5 s, so a hang fails the test."""
+    runner = threading.Thread(target=run_nodes, args=(handles, node_fn), daemon=True)
+    runner.start()
+    runner.join(timeout=5)
+    assert not runner.is_alive()
 
-    def wait(handle):
-        t0 = time.monotonic()
-        try:
-            handle.recv()
-        except Exception as exc:  # noqa: BLE001 - inspected below
-            outcomes[handle.config.node_id] = (exc, time.monotonic() - t0)
 
-    threads = [threading.Thread(target=wait, args=(h,), daemon=True) for h in handles]
-    for t in threads:
-        t.start()
-    time.sleep(0.05)  # let the receivers block before their peers leave
-    for handle in closers:
-        handle.close()
-    for t in threads:
-        t.join(timeout=5)
-        assert not t.is_alive()
-    return outcomes
+def _recv_twice(raised):
+    """A node function whose two ``recv`` calls must both raise; each
+    error is appended to ``raised`` as (node, class, text)."""
+
+    def node(handle):
+        for _ in range(2):
+            try:
+                handle.recv()
+            except TransportError as exc:
+                raised.append((handle.config.node_id, type(exc), str(exc)))
+
+    return node
 
 
 def test_stall_wakes_every_waiter():
-    handles = sim_transport(3)
-    outcomes = _recv_in_threads(handles)
-    assert sorted(outcomes) == [0, 1, 2]
-    for exc, waited in outcomes.values():
-        assert isinstance(exc, SimStallError)
-        assert waited < 0.4
-    for handle in handles:  # a terminal state stays terminal, one recv at a time
-        exc, waited = _recv_in_threads([handle])[handle.config.node_id]
-        assert isinstance(exc, SimStallError)
-        assert waited < 0.05
-    for handle in handles:
-        handle.close()
+    """Three nodes that each wait all get the stall, one node at a time in
+    id order, and a terminal state stays terminal: the second ``recv``
+    raises at once, before the next node runs."""
+    raised = []
+    _run_bounded(sim_transport(3), _recv_twice(raised))
+    text = "nodes [0, 1, 2] wait forever (no deliverable message)"
+    assert raised == [(node, SimStallError, text) for node in (0, 0, 1, 1, 2, 2)]
 
 
 def test_last_waiter_learns_promptly_that_its_peers_are_gone():
-    *peers, last = sim_transport(3)
-    outcomes = _recv_in_threads([last], closers=peers)
-    exc, waited = outcomes[2]
-    assert isinstance(exc, TransportClosedError)
-    assert waited < 0.4
-    exc, waited = _recv_in_threads([last])[2]  # a terminal state stays terminal
-    assert isinstance(exc, TransportClosedError)
-    assert waited < 0.05
-    last.close()
+    """Nodes 0 and 1 return at once; node 2's ``recv`` then raises, twice."""
+    raised = []
+    wait = _recv_twice(raised)
+
+    def node(handle):
+        if handle.config.node_id == 2:
+            wait(handle)
+
+    _run_bounded(sim_transport(3), node)
+    text = "node 2: all peers disconnected (nodes 0, 1)"
+    assert raised == [(2, TransportClosedError, text)] * 2
 
 
 def test_delivery_order_survives_preemption():
     """Six node threads on fewer cores, switching every microsecond: the
     same seed must still deliver from the same sources in the same order,
-    and every seed must give the same payloads.  The global send order
-    ``seq`` is left out, because nodes that run at the same time (all of
-    them, at the start) number their sends in thread-timing order."""
+    and every seed must give the same payloads.  The whole delivery log is
+    compared, the global send order ``seq`` included, because one node runs
+    at a time."""
 
     def run(seed):
         handles = sim_transport(6, SeededSchedule(seed))
@@ -127,7 +120,7 @@ def test_delivery_order_survives_preemption():
             return fl_decentralized(handle, CALLBACKS, bytes([me]) * 8, bytes([me]), 3)
 
         payloads = run_nodes(handles, node)
-        return payloads, [(dst, src, phase) for dst, src, _, phase in handles[0]._net.delivery_log]
+        return payloads, handles[0]._net.delivery_log
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
