@@ -82,8 +82,8 @@ class TrainConfig(Frozen):
 
     def __init__(self, learning_rate: float = 0.001, epochs: int = 300):
         set_fields(self, learning_rate, epochs)
-        if learning_rate <= 0:
-            raise ValueError(f"learning rate must be > 0, got {learning_rate}")
+        if not 0 < learning_rate < math.inf:  # NaN too
+            raise ValueError(f"learning rate must be finite and > 0, got {learning_rate}")
         if epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {epochs}")
 
@@ -143,6 +143,8 @@ def load_sna_csv(path) -> Dataset:
                 age = float(record["Age"])
             except (TypeError, ValueError):
                 raise ParseError(f"{path.name} line {line}: non-numeric Age {record['Age']!r}") from None
+            if not math.isfinite(age):
+                raise ParseError(f"{path.name} line {line}: non-finite Age {record['Age']!r}")
             purchased = (record["Purchased"] or "").strip()
             if purchased not in ("0", "1"):
                 raise ParseError(f"{path.name} line {line}: Purchased must be 0 or 1, got {purchased!r}")

@@ -273,8 +273,10 @@ def run_nodes(handles: list[SimTransport], node_fn) -> list:
 
     Handles are closed when their node function returns or raises, so a
     crashed node surfaces as a stall or closed-transport error on its peers
-    rather than a hang.  The first non-stall error is re-raised; results come
-    back in node-id order.
+    rather than a hang.  Results come back in node-id order.  The error
+    re-raised is the failing node's own: the first, in node-id order, that
+    neither is a :class:`TransportError` nor has one as its ``__cause__``
+    (as the engine's wrapped transport errors do), else the first error.
     """
     results: list = [None] * len(handles)
     errors: list[Exception | None] = [None] * len(handles)
@@ -302,5 +304,6 @@ def run_nodes(handles: list[SimTransport], node_fn) -> list:
 
     failures = [e for e in errors if e is not None]
     if failures:
-        raise next((e for e in failures if not isinstance(e, SimStallError)), failures[0])
+        raise next((e for e in failures if not any(
+            isinstance(x, TransportError) for x in (e, e.__cause__))), failures[0])
     return results

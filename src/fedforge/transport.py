@@ -176,24 +176,6 @@ def decode_frame(data: bytes) -> Frame:
     return Frame(kind, phase, src, data[_FRAME.size:])
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read n bytes from a blocking socket; fewer only if the stream ends first.
-    Each read asks for at most ``_CHUNK`` bytes, as ``recv`` allocates what it
-    is asked for and a length prefix can ask for 4 GiB."""
-    buf = b""
-    while len(buf) < n and (chunk := sock.recv(min(n - len(buf), _CHUNK))):
-        buf += chunk
-    return buf
-
-
-def read_frame(sock: socket.socket) -> Frame | None:
-    """Read one frame from a blocking stream socket; None on clean EOF."""
-    data = _recv_exact(sock, _PREFIX)
-    if len(data) == _PREFIX:
-        data += _recv_exact(sock, int.from_bytes(data, "big"))
-    return decode_frame(data) if data else None
-
-
 class TcpTransport:
     """Live transport handle for one node; see :func:`start_node`.
 
@@ -355,11 +337,18 @@ def _connect(port: int, deadline: float) -> socket.socket:
 
 
 def _read_hello(sock: socket.socket) -> int:
-    """The node id carried by the HELLO that must come first on a stream."""
-    frame = read_frame(sock)
-    if frame is None or frame.kind != HELLO:
-        raise ProtocolError("stream did not open with a HELLO frame")
-    return frame.src
+    """The node id carried by the HELLO that must come first on a stream.
+
+    A HELLO is a bare header, so exactly its 8 bytes are read: any other
+    length, kind or phase, or a stream that ends first, fails at once."""
+    data = b""
+    while len(data) < _FRAME.size and (chunk := sock.recv(_FRAME.size - len(data))):
+        data += chunk
+    if len(data) == _FRAME.size:
+        length, kind, phase, src = _FRAME.unpack(data)
+        if (length, kind, phase) == (_HEADER, HELLO, 0):
+            return src
+    raise ProtocolError("stream did not open with a HELLO frame")
 
 
 def bind_listener(config: NodeConfig) -> socket.socket:

@@ -81,6 +81,13 @@ def test_non_numeric_age_cites_line(tmp_path):
         load_sna_csv(path)
 
 
+@pytest.mark.parametrize("age", ["nan", "inf", "-Infinity"])
+def test_non_finite_age_cites_line(tmp_path, age):
+    path = write_csv(tmp_path, f"1,Male,19,1,0\n2,Male,{age},1,1\n")
+    with pytest.raises(ParseError, match=f"line 3: non-finite Age '{age}'"):
+        load_sna_csv(path)
+
+
 def test_missing_column_rejected(tmp_path):
     path = write_csv(tmp_path, "1,19,0\n", header="User ID,Age,Purchased\n")
     with pytest.raises(ParseError, match="Gender"):
@@ -510,6 +517,9 @@ def test_train_validation():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+    for rate in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(learning_rate=rate)
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
     TrainConfig(epochs=0)  # zero epochs is legal

@@ -16,6 +16,7 @@ from fedforge.sim import (
     run_nodes,
     sim_transport,
 )
+from fedforge.engine import CallbackPair, fl_centralized, fl_decentralized
 from fedforge.transport import Message, TransportClosedError
 
 
@@ -174,6 +175,25 @@ def test_run_nodes_prefers_real_error_over_stall():
 
     with pytest.raises(ValueError, match="engine bug"):
         run_nodes(handles, node)
+
+
+@pytest.mark.parametrize("rounds", [fl_centralized, fl_decentralized], ids=["star", "clique"])
+def test_run_nodes_raises_the_failing_nodes_own_error(rounds):
+    """Node 2's callback fails; its peers then fail too, with engine errors
+    caused by transport errors, but the callback's error is the one raised."""
+    def client_fn(local, private, payload):
+        if private == 2:
+            raise ValueError("node 2 callback failed")
+        return payload
+
+    callbacks = CallbackPair(server_fn=lambda local, private, updates: local,
+                             client_fn=client_fn)
+
+    def node(handle):
+        return rounds(handle, callbacks, b"m", handle.config.node_id)
+
+    with pytest.raises(ValueError, match="node 2 callback failed"):
+        run_nodes(sim_transport(3), node)
 
 
 def test_sends_are_numbered_in_turn_order_not_thread_timing():

@@ -4,6 +4,7 @@ handshake checks, FIFO, fidelity, failure modes, and clean port release."""
 import hashlib
 import itertools
 import socket
+import struct
 import threading
 import time
 import tracemalloc
@@ -28,7 +29,6 @@ from fedforge.transport import (
     decode_frame,
     encode_frame,
     free_base_port,
-    read_frame,
     start_node,
 )
 import fedforge.transport as transport
@@ -128,42 +128,6 @@ def test_frame_invariants(kind, phase, src, payload):
 # -- stream reading -------------------------------------------------------
 
 
-def test_read_frame_stream_and_eof():
-    a, b = socket.socketpair()
-    try:
-        frames = [Frame(DATA, 1, 2, b"one"), Frame(DATA, 2, 2, b"two")]
-        for f in frames:
-            a.sendall(encode_frame(f))
-        a.close()
-        assert read_frame(b) == frames[0]
-        assert read_frame(b) == frames[1]
-        assert read_frame(b) is None
-    finally:
-        b.close()
-
-
-def test_read_frame_mid_frame_eof():
-    a, b = socket.socketpair()
-    try:
-        a.sendall(encode_frame(Frame(DATA, 1, 0, b"payload"))[:-3])
-        a.close()
-        with pytest.raises(FramingError):
-            read_frame(b)
-    finally:
-        b.close()
-
-
-def test_read_frame_underdeclared_length():
-    a, b = socket.socketpair()
-    try:
-        a.sendall(b"\x00\x00\x00\x02")  # below the 4-byte header minimum
-        a.close()
-        with pytest.raises(FramingError):
-            read_frame(b)
-    finally:
-        b.close()
-
-
 class CutStream:
     """The read end of a socket pair that, before each read, writes the next
     cut of ``stream`` to the other end, and closes it after the last cut."""
@@ -189,48 +153,48 @@ class CutStream:
 frame_cuts = st.lists(st.integers(1, 64), min_size=1)
 
 
+def read_rest(stream):
+    """Every byte left on the stream, up to its end."""
+    rest = b""
+    while chunk := stream.recv(64):
+        rest += chunk
+    return rest
+
+
 @settings(max_examples=150, deadline=None)
-@given(frames=st.lists(valid_frames, max_size=8), sizes=frame_cuts)
-def test_read_frame_cuts_like_decode_frame(frames, sizes):
-    """Frames that arrive in any cuts read back as decode_frame gives them,
-    then the clean end of the stream reads as None."""
-    raw = [encode_frame(f) for f in frames]
-    stream = CutStream(b"".join(raw), sizes)
+@given(src=st.integers(0, 0xFFFF), after=st.binary(max_size=64), sizes=frame_cuts)
+def test_read_hello_in_any_cuts(src, after, sizes):
+    """A HELLO that arrives in any cuts reads as its id, and the bytes after
+    it stay unread."""
+    stream = CutStream(encode_frame(Frame(HELLO, 0, src)) + after, sizes)
     try:
-        assert [read_frame(stream) for _ in raw] == [decode_frame(r) for r in raw]
-        assert read_frame(stream) is None
+        assert transport._read_hello(stream) == src
+        assert read_rest(stream) == after
     finally:
         stream.close()
+
+
+near_hello = st.builds(
+    lambda header, after: struct.pack(">IBBH", *header) + after,
+    st.tuples(st.sampled_from([4, 0, 3, 5, 1000, 0xFFFFFFF0]), st.sampled_from([HELLO, DATA, 2]),
+              st.sampled_from([0, 1, 2]), st.integers(0, 0xFFFF)),
+    st.binary(max_size=16),
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.binary(max_size=64), sizes=frame_cuts)
-def test_read_frame_arbitrary_bytes(data, sizes):
-    """Any bytes read as frames up to a clean end, or fail as framing or
-    protocol errors."""
+@given(data=st.one_of(st.binary(max_size=64), near_hello), sizes=frame_cuts)
+def test_read_hello_arbitrary_bytes(data, sizes):
+    """Any bytes read as an id exactly when their first 8 are a HELLO, and
+    fail as a protocol error otherwise."""
     stream = CutStream(data, sizes)
     try:
-        for _ in range(len(data) + 1):
-            frame = read_frame(stream)
-            if frame is None:
-                break
-            assert isinstance(frame, Frame)
-    except (FramingError, ProtocolError):
-        pass
+        if len(data) >= 8 and data[:6] == b"\x00\x00\x00\x04\x00\x00":
+            assert transport._read_hello(stream) == int.from_bytes(data[6:8], "big")
+        else:
+            with pytest.raises(ProtocolError, match="did not open with a HELLO"):
+                transport._read_hello(stream)
     finally:
-        stream.close()
-
-
-def test_read_frame_long_length_prefix_allocates_little():
-    """A prefix announcing 64 MiB that never arrive costs no 64 MiB buffer."""
-    stream = CutStream((64 << 20).to_bytes(4, "big") + bytes([DATA, 1, 0, 1]), [8])
-    tracemalloc.start()
-    try:
-        with pytest.raises(FramingError):
-            read_frame(stream)
-        assert tracemalloc.get_traced_memory()[1] < 1 << 20
-    finally:
-        tracemalloc.stop()
         stream.close()
 
 
@@ -466,19 +430,26 @@ def dial_raw(port):
             time.sleep(0.01)
 
 
-@pytest.mark.parametrize("opening", [
-    Frame(DATA, 1, 1, b"early"),  # DATA before any HELLO
-    Frame(HELLO, 0, 0),           # claims the acceptor's own id
-    Frame(HELLO, 0, 5),           # claims an id outside the run
-], ids=["data-first", "hello-as-self", "hello-out-of-range"])
-def test_bad_opening_frame_rejected(port_for, opening):
+@pytest.mark.parametrize("opening, shut", [
+    (encode_frame(Frame(DATA, 1, 1, b"early")), False),  # DATA before any HELLO
+    (encode_frame(Frame(HELLO, 0, 0)), False),           # claims the acceptor's own id
+    (encode_frame(Frame(HELLO, 0, 5)), False),           # claims an id outside the run
+    (struct.pack(">IBBH", 1000, HELLO, 0, 1), False),    # HELLO announcing a payload
+    (struct.pack(">IBBH", 0xFFFFFFF0, DATA, 1, 1), False),  # DATA first, announcing ~4 GiB
+    (struct.pack(">IBBH", 4, HELLO, 1, 1), False),       # HELLO in phase 1
+    (encode_frame(Frame(HELLO, 0, 1))[:3], True),        # stream ends inside the header
+], ids=["data-first", "hello-as-self", "hello-out-of-range", "hello-long",
+        "data-first-4gib", "hello-phase-1", "eof-in-header"])
+def test_bad_opening_frame_rejected(port_for, opening, shut):
     base = port_for(2)
     with ThreadPoolExecutor(max_workers=1) as pool:
         node = pool.submit(start_node, NodeConfig(n_nodes=2, node_id=0, base_port=base),
                            timeout=3)
         with dial_raw(base) as raw:
             started = time.monotonic()
-            raw.sendall(encode_frame(opening))
+            raw.sendall(opening)
+            if shut:
+                raw.shutdown(socket.SHUT_WR)
             with pytest.raises(ProtocolError):
                 node.result(timeout=10)
             assert time.monotonic() - started < 1.0
@@ -491,7 +462,7 @@ def test_spoofed_src_fails_the_stream(port_for):
                            timeout=3)
         with dial_raw(base) as raw:
             raw.sendall(encode_frame(Frame(HELLO, 0, 1)))
-            assert read_frame(raw) == Frame(HELLO, 0, 0)
+            assert decode_frame(raw.recv(8, socket.MSG_WAITALL)) == Frame(HELLO, 0, 0)
             with node.result(timeout=10) as handle:
                 raw.sendall(encode_frame(Frame(DATA, 1, 0, b"spoofed")))
                 with pytest.raises(TransportError, match="node 1") as failure:
