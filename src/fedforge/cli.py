@@ -1,8 +1,9 @@
 """Command-line surface: `launch` starts an n-node run, `node` is one instance.
 
 `launch` is what users invoke; `node` is what each child of the launcher runs,
-forked or spawned.  Both live on the same executable so every process runs
-identical code and differs only by its --id argument.
+forked or spawned, differing only by its --id.  A node runs `node_program`,
+the one place a run becomes a node's rounds; the tests check that function
+by running it for every node over the sim.
 """
 
 from __future__ import annotations
@@ -119,22 +120,33 @@ def _cmd_launch(args: argparse.Namespace) -> int:
     return max(EXIT_RUNTIME if code < 0 else code for code in launch(spec).exit_codes)
 
 
-def _node_partition(spec: LaunchSpec, node_id: int):
-    """Load, split, and pick this node's training slice.
-
-    Centralized: the chunks go to the clients in ascending node-id order and
-    the server trains nothing.  Decentralized: node i takes chunk i of n.
-    """
-    dataset = load_sna_csv(spec.dataset_path)
-    data = split(dataset, TEST_FRACTION, spec.split_seed)
+def node_program(spec: LaunchSpec, node_id: int):
+    """Load, split and partition the data for this node, before any barrier;
+    return the split and ``run(transport)``, which runs the node's rounds and
+    returns its final payload.  A star's clients take the chunks in ascending
+    id order and its server trains nothing.  Clique node i takes chunk i of
+    n; its own update, from the zero model on a fixed partition, is the same
+    every round, so ``run`` trains it once."""
+    data = split(load_sna_csv(spec.dataset_path), TEST_FRACTION, spec.split_seed)
+    local = serialize_model(ModelVector(0.0, 0.0))
     if spec.algorithm == "centralized":
-        if node_id == spec.srv_id:
-            return data, None
-        clients = sorted(i for i in range(spec.n_nodes) if i != spec.srv_id)
-        parts = partition_horizontal(data.X_train, data.y_train, spec.n_nodes - 1)
-        return data, parts[clients.index(node_id)]
-    parts = partition_horizontal(data.X_train, data.y_train, spec.n_nodes)
-    return data, parts[node_id]
+        clients = [i for i in range(spec.n_nodes) if i != spec.srv_id]
+        part = None if node_id == spec.srv_id else partition_horizontal(
+            data.X_train, data.y_train, len(clients))[clients.index(node_id)]
+    else:
+        part = partition_horizontal(data.X_train, data.y_train, spec.n_nodes)[node_id]
+
+    def run(transport) -> bytes:
+        if spec.algorithm == "centralized":
+            callbacks = CallbackPair(server_fn=cb_cent_server, client_fn=cb_cent_client)
+            return fl_centralized(transport, callbacks, local, part, iterations=spec.iterations)
+        own = cb_cent_client(local, part, local)
+        callbacks = CallbackPair(
+            server_fn=lambda _, msgs: cb_cent_server(None, clique_updates(msgs, own)),
+            client_fn=cb_cent_client)
+        return fl_decentralized(transport, callbacks, local, part, iterations=spec.iterations)
+
+    return data, run
 
 
 def run_node(args: argparse.Namespace, listener=None) -> int:
@@ -148,20 +160,9 @@ def run_node(args: argparse.Namespace, listener=None) -> int:
     if args.out is not None and Path(args.out).is_dir():
         raise _UsageExit(f"output path is a directory: {args.out}")
 
-    data, part = _node_partition(spec, args.node_id)
-    local = serialize_model(ModelVector(0.0, 0.0))
+    data, run = node_program(spec, args.node_id)
     with start_node(config, listener=listener) as transport:
-        if spec.algorithm == "centralized":
-            callbacks = CallbackPair(server_fn=cb_cent_server, client_fn=cb_cent_client)
-            final = fl_centralized(transport, callbacks, local, part, iterations=spec.iterations)
-        else:
-            # The own update starts from the zero model on a partition that
-            # never changes, so it is the same every round: train it once.
-            own = cb_cent_client(local, part, local)
-            callbacks = CallbackPair(
-                server_fn=lambda _, msgs: cb_cent_server(None, clique_updates(msgs, own)),
-                client_fn=cb_cent_client)
-            final = fl_decentralized(transport, callbacks, local, part, iterations=spec.iterations)
+        final = run(transport)
 
     if args.out is not None:
         Path(args.out).write_bytes(final)

@@ -37,7 +37,8 @@ class LauncherError(FedforgeError):
 
 
 class LaunchTimeoutError(LauncherError):
-    """The watchdog expired; the message lists nodes still running."""
+    """The watchdog expired; the message lists the nodes still running and
+    those that had already failed."""
 
 
 class LaunchSpec(Frozen):
@@ -188,7 +189,8 @@ def launch(spec: LaunchSpec, echo=print) -> LaunchResult:
     bound first, so a taken port raises before any node starts.  Any other
     command is spawned as given.  One watchdog budget covers the whole run;
     on expiry every child is killed and the error names the nodes that were
-    still alive.
+    still alive, and those that had already failed, with their exit code or
+    signal.
     """
     import subprocess
 
@@ -230,11 +232,14 @@ def launch(spec: LaunchSpec, echo=print) -> LaunchResult:
             while proc.poll() is None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    survivors = [i for i, p in enumerate(procs) if p.poll() is None]
+                    codes = [p.poll() for p in procs]
                     _kill_all(procs)
+                    failed = [f"node {i} (exit {c})" if c > 0 else f"node {i} (signal {-c})"
+                              for i, c in enumerate(codes) if c]
                     raise LaunchTimeoutError(
-                        f"watchdog ({spec.watchdog_seconds:g} s) expired; "
-                        f"nodes still running: {survivors}")
+                        f"watchdog ({spec.watchdog_seconds:g} s) expired; nodes still running: "
+                        f"{[i for i, c in enumerate(codes) if c is None]}"
+                        + (f"; already failed: {', '.join(failed)}" if failed else ""))
                 if reader.is_alive():
                     reader.join(timeout=min(1.0, remaining))
                 else:

@@ -376,10 +376,12 @@ def start_node(config: NodeConfig, timeout: float = 10.0,
     above its own, not yet connected) and answers with its own HELLO.  This
     cannot deadlock: a node waits only on lower ids before it accepts, and
     node 0 waits on no one.  ``timeout`` seconds bound the whole startup;
-    past it, :class:`StartupTimeoutError` names the peers still missing.  The
-    listener is closed before returning, leaving one non-blocking socket per
-    peer and no thread.  A ``listener`` from :func:`bind_listener` is used
-    instead of binding one here, and closed all the same.
+    past it, :class:`StartupTimeoutError` names the peers still missing.  A
+    stream that breaks first raises :class:`TransportError` naming the peer,
+    or the dialer's address before its HELLO is read.  The listener is closed
+    before returning, leaving one non-blocking socket per peer and no thread.
+    A ``listener`` from :func:`bind_listener` is used instead of binding one
+    here, and closed all the same.
     """
     deadline = time.monotonic() + timeout
     me = config.node_id
@@ -389,6 +391,7 @@ def start_node(config: NodeConfig, timeout: float = 10.0,
     listener = listener or bind_listener(config)
     try:
         for peer in range(me):
+            who = f"node {peer}"
             sock = _connect(config.base_port + peer, deadline)
             opened.append(sock)
             sock.sendall(hello)
@@ -397,19 +400,24 @@ def start_node(config: NodeConfig, timeout: float = 10.0,
                 raise ProtocolError(f"node {me} dialed node {peer} and got HELLO from {src}")
             peers[peer] = sock
         while len(peers) < config.n_nodes - 1:
+            who = "a dialer"
             listener.settimeout(_left(deadline))
-            sock, _ = listener.accept()
+            sock, (host, port) = listener.accept()
+            who = f"the dialer at {host}:{port}"
             opened.append(sock)
             sock.settimeout(_left(deadline))
             src = _read_hello(sock)
             if not me < src < config.n_nodes or src in peers:
                 raise ProtocolError(f"node {me} got unexpected HELLO from {src}")
+            who = f"node {src}"
             sock.sendall(hello)
             peers[src] = sock
     except TimeoutError as exc:
         missing = sorted(set(config.peers()) - set(peers))
         raise StartupTimeoutError(
             f"node {me} missed hello from {missing} within {timeout:g}s") from exc
+    except OSError as exc:  # a reset or broken barrier stream
+        raise TransportError(f"node {me} lost {who} in the hello barrier: {exc}") from exc
     finally:
         listener.close()
         if len(peers) < config.n_nodes - 1:

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import fedforge.cli as cli
-from test_golden import CLIQUE_PAYLOADS, CLIQUE_ROUNDS, CLIQUE_SPLIT_SEED
+from test_golden import CLIQUE_PAYLOADS, CLIQUE_ROUNDS, CLIQUE_SPLIT_SEED, STAR_PAYLOADS, simulate
 from fedforge.cli import (
     BASE_PORT_ENV,
     EXIT_OK,
@@ -27,7 +27,6 @@ from fedforge.cli import (
     main,
 )
 from fedforge.errors import FedforgeError
-from fedforge.engine import CallbackPair, fl_centralized, fl_decentralized
 from fedforge.launcher import (
     DEFAULT_WATCHDOG_SECONDS,
     LaunchResult,
@@ -35,19 +34,8 @@ from fedforge.launcher import (
     LaunchTimeoutError,
     _build_node_command,
 )
-from fedforge.logreg import (
-    TEST_FRACTION,
-    ModelVector,
-    bundled_sna_path,
-    cb_cent_client,
-    cb_cent_server,
-    cb_decent_server,
-    load_sna_csv,
-    partition_horizontal,
-    serialize_model,
-    split,
-)
-from fedforge.sim import run_nodes, sim_transport
+from fedforge.logreg import bundled_sna_path, cb_cent_client
+from fedforge.sim import SeededSchedule
 from fedforge.transport import DEFAULT_BASE_PORT, LOCALHOST, free_base_port
 
 HEADER = "User ID,Gender,Age,EstimatedSalary,Purchased\n"
@@ -294,17 +282,16 @@ def test_two_node_run_through_main(csv_path, tmp_path, capsys):
     assert "node 0: b0=" in printed and "node 1: b0=" in printed
 
 
-def clique_argv(node_id, port, out, rounds=CLIQUE_ROUNDS):
+def clique_argv(node_id, port, out):
     """``fedforge node`` argv of the golden 2-node clique over the bundled data."""
     return node_argv(bundled_sna_path(), id=node_id, algo="decentralized",
-                     iters=rounds, seed=CLIQUE_SPLIT_SEED, base_port=port, out=out)
+                     iters=CLIQUE_ROUNDS, seed=CLIQUE_SPLIT_SEED, base_port=port, out=out)
 
 
 def test_clique_trains_own_update_once_per_run(tmp_path, monkeypatch, capsys):
     """Per node, one training per peer broadcast served and one for its own
     update: R + 1 calls, where training the own update every round made 2R.
-    The payloads are those of the path that retrains it every round."""
-    rounds = 3
+    The payloads are the golden ones."""
     calls = Counter()
 
     def counting_client(*args, **kwargs):
@@ -315,48 +302,18 @@ def test_clique_trains_own_update_once_per_run(tmp_path, monkeypatch, capsys):
     port = free_base_port(2)
     outs = [tmp_path / f"node{i}.bin" for i in (0, 1)]
     with ThreadPoolExecutor(max_workers=2) as pool:
-        codes = list(pool.map(main, [clique_argv(i, port, outs[i], rounds) for i in (0, 1)]))
+        codes = list(pool.map(main, [clique_argv(i, port, outs[i]) for i in (0, 1)]))
     assert codes == [EXIT_OK, EXIT_OK]
-    assert sorted(calls.values()) == [rounds + 1, rounds + 1]
-
-    want = sim_reference("decentralized", 2, rounds=rounds)
-    assert [p.read_bytes() for p in outs] == want
-    assert want[0] != want[1]
-
-
-def sim_reference(algo, n_nodes, srv_id=0, rounds=1):
-    """Every node's final payload of a run over the bundled data on split
-    seed 1, computed in-process by the sim.  A star client trains the slice
-    at its place among the clients; a clique node retrains its own update
-    every round, as ``cb_decent_server`` does."""
-    data = split(load_sna_csv(bundled_sna_path()), TEST_FRACTION, CLIQUE_SPLIT_SEED)
-    zero = serialize_model(ModelVector(0.0, 0.0))
-    if algo == "centralized":
-        clients = [i for i in range(n_nodes) if i != srv_id]
-        parts = partition_horizontal(data.X_train, data.y_train, len(clients))
-        callbacks = CallbackPair(server_fn=cb_cent_server, client_fn=cb_cent_client)
-
-        def node(handle):
-            me = handle.config.node_id
-            part = parts[clients.index(me)] if me in clients else None
-            return fl_centralized(handle, callbacks, zero, part, iterations=rounds)
-    else:
-        parts = partition_horizontal(data.X_train, data.y_train, n_nodes)
-        callbacks = CallbackPair(server_fn=cb_decent_server, client_fn=cb_cent_client)
-
-        def node(handle):
-            return fl_decentralized(handle, callbacks, zero, parts[handle.config.node_id],
-                                    iterations=rounds)
-
-    return run_nodes(sim_transport(n_nodes, srv_id=srv_id), node)
+    assert sorted(calls.values()) == [CLIQUE_ROUNDS + 1, CLIQUE_ROUNDS + 1]
+    assert tuple(p.read_bytes() for p in outs) == CLIQUE_PAYLOADS
 
 
 def test_star_clients_train_their_own_slices(tmp_path):
     """Three ``fedforge node`` star nodes, server 1, on split seed 1, whose
-    two client slices differ: every node writes the payload of the sim
-    reference in which client i trains the slice at its place among the
-    clients.  The clients' files are compared too, because the server's
-    mean of two updates is the same if the clients swap slices."""
+    two client slices differ: every node writes the golden star payload, in
+    which client i trains the slice at its place among the clients.  The
+    clients' files are compared too, because the server's mean of two
+    updates is the same if the clients swap slices."""
     port = free_base_port(3)
     outs = [tmp_path / f"node{i}.bin" for i in range(3)]
     argvs = [node_argv(bundled_sna_path(), id=i, nodes=3, srv_id=1, algo="centralized",
@@ -365,10 +322,18 @@ def test_star_clients_train_their_own_slices(tmp_path):
     with ThreadPoolExecutor(max_workers=3) as pool:
         codes = list(pool.map(main, argvs))
     assert codes == [EXIT_OK] * 3
+    assert tuple(p.read_bytes() for p in outs) == STAR_PAYLOADS
 
-    want = sim_reference("centralized", 3, srv_id=1, rounds=1)
-    assert [p.read_bytes() for p in outs] == want
-    assert want[0] != want[2]
+
+@pytest.mark.parametrize("algo", ["centralized", "decentralized"], ids=["star", "clique"])
+def test_node_program_does_not_depend_on_delivery_order(algo):
+    """``node_program`` over the sim, 3 nodes, 2 rounds on the bundled data:
+    20 seeded delivery orders all give the payloads of FIFO delivery."""
+    spec = LaunchSpec(3, algo, bundled_sna_path(), srv_id=1, iterations=2,
+                      split_seed=CLIQUE_SPLIT_SEED)
+    want = simulate(spec)
+    for seed in range(20):
+        assert simulate(spec, SeededSchedule(seed)) == want, seed
 
 
 @functools.cache
@@ -402,26 +367,43 @@ def other_interpreter() -> str | None:
     return next(reversed(other_interpreters().values()), None)
 
 
-def test_mixed_interpreter_clique_writes_golden_bytes(tmp_path):
-    """Node 0 on this interpreter, node 1 on another CPython: both end with
-    the golden payloads, so the zero-ulp chain holds across interpreters."""
-    other = other_interpreter()
-    if other is None:
-        pytest.skip("no other CPython >= 3.10 found")
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    port = free_base_port(2)
-    outs = [tmp_path / f"node{i}.bin" for i in (0, 1)]
-    procs = [subprocess.Popen([exe, "-m", "fedforge", *clique_argv(i, port, outs[i])],
-                              env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-             for i, exe in enumerate([sys.executable, other])]
+SRC = Path(cli.__file__).resolve().parents[1]  # the fedforge tree under test
+
+
+def src_env() -> dict[str, str]:
+    return {**os.environ, "PYTHONPATH": str(SRC)}
+
+
+def run_node_processes(exes, argvs) -> None:
+    """Start ``python -m fedforge`` with each argv under its interpreter, all
+    at once, and check that every one exits 0."""
+    procs = [subprocess.Popen([exe, "-m", "fedforge", *argv], env=src_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+             for exe, argv in zip(exes, argvs)]
     try:
         logs = [proc.communicate(timeout=60)[0] for proc in procs]
     finally:
         for proc in procs:
             proc.kill()
             proc.communicate()
-    assert [proc.returncode for proc in procs] == [EXIT_OK, EXIT_OK], logs
+    assert [proc.returncode for proc in procs] == [EXIT_OK] * len(procs), logs
+
+
+def unittest_passes_under(exe, module) -> None:
+    proc = subprocess.run([exe, "-m", "unittest", module], cwd=Path(__file__).resolve().parents[1],
+                          env=src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_mixed_interpreter_clique_writes_golden_bytes(tmp_path):
+    """Node 0 on this interpreter, node 1 on another CPython: both end with
+    the golden payloads, so the zero-ulp chain holds across interpreters."""
+    other = other_interpreter()
+    if other is None:
+        pytest.skip("no other CPython >= 3.10 found")
+    port = free_base_port(2)
+    outs = [tmp_path / f"node{i}.bin" for i in (0, 1)]
+    run_node_processes([sys.executable, other], [clique_argv(i, port, outs[i]) for i in (0, 1)])
     assert tuple(p.read_bytes() for p in outs) == CLIQUE_PAYLOADS
 
 
@@ -429,11 +411,7 @@ def test_mixed_interpreter_clique_writes_golden_bytes(tmp_path):
 def test_golden_bits_under_other_interpreter(other):
     """``tests/test_golden.py`` passes under every other CPython minor found,
     so its bits do not depend on the interpreter that collects this suite."""
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run([other, "-m", "unittest", "tests.test_golden"], cwd=root, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    unittest_passes_under(other, "tests.test_golden")
 
 
 def every_interpreter() -> dict[str, str]:
@@ -448,29 +426,19 @@ def every_interpreter() -> dict[str, str]:
 def test_one_node_per_interpreter_writes_the_sim_bytes(tmp_path, algo, srv_id):
     """One ``fedforge node`` per CPython minor found, this one's included,
     in a TCP star with server 1 and in a clique, 3 rounds each: every node
-    writes the bytes of the in-process sim reference."""
+    writes the bytes that ``simulate`` gives in-process."""
     if not other_interpreters():
         pytest.skip("no other CPython >= 3.10 found")
     exes = list(every_interpreter().values())
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
     port = free_base_port(len(exes))
     outs = [tmp_path / f"node{i}.bin" for i in range(len(exes))]
-    procs = [subprocess.Popen(
-        [exe, "-m", "fedforge", *node_argv(bundled_sna_path(), id=i, nodes=len(exes),
-                                           srv_id=srv_id, algo=algo, iters=3,
-                                           seed=CLIQUE_SPLIT_SEED, base_port=port,
-                                           out=outs[i])],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-        for i, exe in enumerate(exes)]
-    try:
-        logs = [proc.communicate(timeout=60)[0] for proc in procs]
-    finally:
-        for proc in procs:
-            proc.kill()
-            proc.communicate()
-    assert [proc.returncode for proc in procs] == [EXIT_OK] * len(exes), logs
-    assert [p.read_bytes() for p in outs] == sim_reference(algo, len(exes), srv_id, rounds=3)
+    run_node_processes(exes, [node_argv(bundled_sna_path(), id=i, nodes=len(exes), srv_id=srv_id,
+                                        algo=algo, iters=3, seed=CLIQUE_SPLIT_SEED,
+                                        base_port=port, out=outs[i])
+                              for i in range(len(exes))])
+    spec = LaunchSpec(len(exes), algo, bundled_sna_path(), srv_id=srv_id, iterations=3,
+                      split_seed=CLIQUE_SPLIT_SEED)
+    assert [p.read_bytes() for p in outs] == simulate(spec)
 
 
 @pytest.mark.parametrize("other", [*other_interpreters().values()], ids=[*other_interpreters()])
@@ -478,11 +446,7 @@ def test_value_contract_under_other_interpreter(other):
     """``tests/test_values_nan.py``, the value-class contract's case that
     ``dataclasses`` answers differently on 3.13, passes under every other
     CPython minor found."""
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run([other, "-m", "unittest", "tests.test_values_nan"], cwd=root, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    unittest_passes_under(other, "tests.test_values_nan")
 
 
 # `fedforge launch` that prints, last, the thread count at each of its forks.
@@ -515,9 +479,8 @@ def test_forked_star_under_other_interpreter_starts_no_thread_first(tmp_path, mo
                 str(bundled_sna_path()), "--base-port", str(free_base_port(3)),
                 "--out-dir", str(tmp_path / name)]
 
-    src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run([other, "-W", "error::DeprecationWarning", "-c", COUNTED_LAUNCH,
-                           *argv("forked")], env={**os.environ, "PYTHONPATH": str(src)},
+                           *argv("forked")], env=src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "forks 1 1 1"
@@ -538,8 +501,7 @@ IMPORT_GUARD = ("import sys; before = set(sys.modules); import fedforge.cli; "
 @pytest.mark.parametrize("exe", [sys.executable, *other_interpreters().values()],
                          ids=["this", *other_interpreters()])
 def test_cli_imports_no_dataclasses_inspect_or_subprocess(exe):
-    src = Path(cli.__file__).resolve().parents[1]
-    proc = subprocess.run([exe, "-c", IMPORT_GUARD], env={**os.environ, "PYTHONPATH": str(src)},
+    proc = subprocess.run([exe, "-c", IMPORT_GUARD], env=src_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []

@@ -14,13 +14,13 @@ here too, as the live transport sends and reads it.
 import socket
 import unittest
 
-from fedforge.engine import CallbackPair, fl_decentralized
+from fedforge.cli import node_program
+from fedforge.launcher import LaunchSpec
 from fedforge.logreg import (
     TEST_FRACTION,
     ModelVector,
     bundled_sna_path,
     cb_cent_client,
-    cb_decent_server,
     deserialize_model,
     gen_synthetic,
     load_sna_csv,
@@ -49,10 +49,26 @@ CLIQUE_PAYLOADS = (
     bytes.fromhex("bfe57f5a2f61a3d93ff831be9460330a"),
     bytes.fromhex("bfe4d9bab0ccdc0a3ff91a1682d4f78e"),
 )
+# A 3-node star, server 1, one round on split seed 1: `fedforge launch --algo
+# centralized --nodes 3 --srv-id 1 --seed 1`.  The clients' slices differ, so
+# a client that trained the other's slice would end with the other's bytes.
+STAR_PAYLOADS = (
+    bytes.fromhex("bfe1a6469a6417cc3ff8fcfd7f215a94"),
+    bytes.fromhex("bfe315488ad333883ff65d653555ec5b"),
+    bytes.fromhex("bfe4844a7b424f433ff3bdcceb8a7e22"),
+)
 
 
 def bundled_split(seed):
     return split(load_sna_csv(bundled_sna_path()), TEST_FRACTION, seed)
+
+
+def simulate(spec, schedule=None):
+    """Every node's final payload of ``spec``: ``node_program``, the program
+    ``fedforge node`` runs, for every node over the sim."""
+    runs = [node_program(spec, i)[1] for i in range(spec.n_nodes)]
+    handles = sim_transport(spec.n_nodes, schedule, spec.srv_id)
+    return run_nodes(handles, lambda handle: runs[handle.config.node_id](handle))
 
 
 def hex_pair(m: ModelVector) -> tuple[str, str]:
@@ -75,13 +91,14 @@ class GoldenBits(unittest.TestCase):
         self.assertEqual(hex_pair(train_logreg(ds.ages(), ds.labels())), SYNTHETIC_SEED7)
 
     def test_clique_payloads(self):
-        data = bundled_split(CLIQUE_SPLIT_SEED)
-        parts = partition_horizontal(data.X_train, data.y_train, 2)
-        self.assertNotEqual(parts[0], parts[1])
-        callbacks = CallbackPair(server_fn=cb_decent_server, client_fn=cb_cent_client)
-        finals = run_nodes(sim_transport(2), lambda handle: fl_decentralized(
-            handle, callbacks, ZERO, parts[handle.config.node_id], iterations=CLIQUE_ROUNDS))
-        self.assertEqual(tuple(finals), CLIQUE_PAYLOADS)
+        spec = LaunchSpec(2, "decentralized", bundled_sna_path(), iterations=CLIQUE_ROUNDS,
+                          split_seed=CLIQUE_SPLIT_SEED)
+        self.assertEqual(tuple(simulate(spec)), CLIQUE_PAYLOADS)
+
+    def test_star_payloads(self):
+        spec = LaunchSpec(3, "centralized", bundled_sna_path(), srv_id=1,
+                          split_seed=CLIQUE_SPLIT_SEED)
+        self.assertEqual(tuple(simulate(spec)), STAR_PAYLOADS)
 
 
 # Node 1's phase-2 reply (1.0, -2.0) to node 0: length 20, kind DATA,

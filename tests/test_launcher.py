@@ -178,6 +178,19 @@ def test_watchdog_names_only_survivors(tmp_path, monkeypatch):
         launch(spec, echo=lambda _: None)
 
 
+def test_watchdog_names_the_nodes_that_already_failed(tmp_path, monkeypatch):
+    """Node 0 exits 7 at once and node 2 dies of SIGKILL while node 1 sleeps
+    past the watchdog: the message names all three, and how the two failed."""
+    scripts = ["import sys; sys.exit(7)", "import time; time.sleep(60)",
+               "import os, signal; os.kill(os.getpid(), signal.SIGKILL)"]
+    monkeypatch.setattr(launcher, "_build_node_command",
+                        lambda spec, node_id: [sys.executable, "-c", scripts[node_id]])
+    spec = LaunchSpec(3, "centralized", tiny_csv(tmp_path), watchdog_seconds=2.0)
+    with pytest.raises(LaunchTimeoutError, match=r"nodes still running: \[1\]; "
+                       r"already failed: node 0 \(exit 7\), node 2 \(signal 9\)$"):
+        launch(spec, echo=lambda _: None)
+
+
 # stderr shares the stdout pipe, so a stub closes both to end its output.
 CLOSE_OUTPUT = "import os, time; os.close(1); os.close(2); "
 

@@ -455,6 +455,44 @@ def test_bad_opening_frame_rejected(port_for, opening, shut):
             assert time.monotonic() - started < 1.0
 
 
+def reset(sock):
+    """Close ``sock`` with an RST instead of a FIN."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def test_dialer_reset_before_its_hello_names_its_address(port_for):
+    base = port_for(2)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        node = pool.submit(start_node, NodeConfig(n_nodes=2, node_id=0, base_port=base),
+                           timeout=3)
+        raw = dial_raw(base)
+        started = time.monotonic()
+        address = "%s:%d" % raw.getsockname()
+        raw.sendall(encode_frame(Frame(HELLO, 0, 1))[:2])
+        reset(raw)
+        with pytest.raises(TransportError, match=f"^node 0 lost the dialer at {address} in the "
+                                                 "hello barrier: .*reset"):
+            node.result(timeout=10)
+        assert time.monotonic() - started < 1.0
+
+
+def test_acceptor_reset_after_the_hello_names_the_peer(port_for):
+    base = port_for(2)
+    with socket.create_server(("127.0.0.1", base)) as acceptor, \
+            ThreadPoolExecutor(max_workers=1) as pool:
+        node = pool.submit(start_node, NodeConfig(n_nodes=2, node_id=1, base_port=base),
+                           timeout=3)
+        acceptor.settimeout(5)
+        conn, _ = acceptor.accept()
+        started = time.monotonic()
+        assert conn.recv(8, socket.MSG_WAITALL) == encode_frame(Frame(HELLO, 0, 1))
+        reset(conn)
+        with pytest.raises(TransportError, match="^node 1 lost node 0 in the hello barrier: .*reset"):
+            node.result(timeout=10)
+        assert time.monotonic() - started < 1.0
+
+
 def test_spoofed_src_fails_the_stream(port_for):
     base = port_for(2)
     with ThreadPoolExecutor(max_workers=1) as pool:
