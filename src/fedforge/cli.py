@@ -116,7 +116,7 @@ def _cmd_launch(args: argparse.Namespace) -> int:
         existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
         if not existing.is_dir():
             raise _UsageExit(f"output directory blocked by a file: {existing}")
-    # launch reports a death by signal N as -N; that is a runtime failure.
+    # launch reports a death by signal N, and a node it stopped, as -N: a runtime failure.
     return max(EXIT_RUNTIME if code < 0 else code for code in launch(spec).exit_codes)
 
 

@@ -24,7 +24,7 @@ the wire.
 
 Rounds after the first reuse the previous round's output as the new
 broadcast payload.  The executor blocks indefinitely on missing peers;
-deadline enforcement belongs to the process launcher.
+the process launcher stops a run at its first failed node or its watchdog.
 
 The protocol rules live in ``_run_rounds``: each message is checked in the
 branch that serves it, holds it for the next round or stores it as an

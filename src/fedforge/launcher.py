@@ -6,8 +6,8 @@ launcher binds every node's listener, then forks each node from itself,
 warm with ``fedforge.cli`` imported, before it starts any thread; so no
 node dials a peer that does not listen yet.  Elsewhere, or for another
 command, it spawns a fresh interpreter per node.  The launcher is also
-the safety net for the engine's deliberate lack of protocol timeouts: a
-watchdog covers the whole run and kills every child when it expires.
+the safety net for the engine's deliberate lack of protocol timeouts: the
+first node that fails stops the others, and a watchdog covers the run.
 Child output is echoed line by line with a ``[node N]`` prefix so
 interleaved logs stay attributable.
 """
@@ -37,8 +37,7 @@ class LauncherError(FedforgeError):
 
 
 class LaunchTimeoutError(LauncherError):
-    """The watchdog expired; the message lists the nodes still running and
-    those that had already failed."""
+    """The watchdog expired before any node failed; the message lists the nodes still running."""
 
 
 class LaunchSpec(Frozen):
@@ -163,21 +162,33 @@ def _fork_node(cmd: list[str], node_id: int, listeners: list, procs: list) -> _F
         os._exit(code)
 
 
-def _kill_all(procs) -> None:
+def _wait(procs, readers, until: float, stop=None) -> list:
+    """Return every child's code, None for one still running, once all have
+    exited, ``stop(codes)`` holds or the monotonic time ``until`` passes.
+    It joins the first live reader, which ends at its node's exit, for at most
+    50 ms; short polls cover the reaping and a node whose stdout ends first."""
+    while True:
+        codes = [proc.poll() for proc in procs]
+        remaining = until - time.monotonic()
+        if None not in codes or (stop and stop(codes)) or remaining <= 0:
+            return codes
+        live = [reader for reader in readers if reader.is_alive()]
+        if live:
+            live[0].join(timeout=min(0.05, remaining))
+        else:
+            time.sleep(min(0.002, remaining))
+
+
+def _kill_all(procs, readers) -> None:
     """Terminate every child still running, and kill those alive 2 s later."""
     import signal  # here, not at the top: every node imports this module
 
-    for proc in procs:
-        if proc.poll() is None:
-            os.kill(proc.pid, signal.SIGTERM)
-    grace = time.monotonic() + 2.0
-    while time.monotonic() < grace and any(proc.poll() is None for proc in procs):
-        time.sleep(0.005)
-    for proc in procs:
-        if proc.poll() is None:
-            os.kill(proc.pid, getattr(signal, "SIGKILL", signal.SIGTERM))  # none on Windows
-            while proc.poll() is None:
-                time.sleep(0.005)
+    kill = getattr(signal, "SIGKILL", signal.SIGTERM)  # none on Windows
+    for sig, grace in ((signal.SIGTERM, 2.0), (kill, float("inf"))):
+        for proc in procs:
+            if proc.poll() is None:
+                os.kill(proc.pid, sig)
+        _wait(procs, readers, time.monotonic() + grace)
 
 
 def launch(spec: LaunchSpec, echo=print) -> LaunchResult:
@@ -187,10 +198,9 @@ def launch(spec: LaunchSpec, echo=print) -> LaunchResult:
     The nodes are forked if ``os.fork`` exists, no other thread is alive and
     every command is fedforge's own node command.  Then every listener is
     bound first, so a taken port raises before any node starts.  Any other
-    command is spawned as given.  One watchdog budget covers the whole run;
-    on expiry every child is killed and the error names the nodes that were
-    still alive, and those that had already failed, with their exit code or
-    signal.
+    command is spawned as given.  The first node that exits non-zero or by a
+    signal stops the rest, and one echoed line names the failed and stopped.
+    If none has failed by the watchdog, the error names those still running.
     """
     import subprocess
 
@@ -225,29 +235,19 @@ def launch(spec: LaunchSpec, echo=print) -> LaunchResult:
         if fork:  # a reader is a thread, and no thread may be alive at a fork
             readers = [_start_reader(node_id, proc, echo) for node_id, proc in enumerate(procs)]
 
-        deadline = time.monotonic() + spec.watchdog_seconds
-        for proc, reader in zip(procs, readers):
-            # A node's exit ends its reader, and a join wakes at that moment;
-            # short polls cover the reaping and a node whose stdout outlives it.
-            while proc.poll() is None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    codes = [p.poll() for p in procs]
-                    _kill_all(procs)
-                    failed = [f"node {i} (exit {c})" if c > 0 else f"node {i} (signal {-c})"
-                              for i, c in enumerate(codes) if c]
-                    raise LaunchTimeoutError(
-                        f"watchdog ({spec.watchdog_seconds:g} s) expired; nodes still running: "
-                        f"{[i for i, c in enumerate(codes) if c is None]}"
-                        + (f"; already failed: {', '.join(failed)}" if failed else ""))
-                if reader.is_alive():
-                    reader.join(timeout=min(1.0, remaining))
-                else:
-                    time.sleep(min(0.002, remaining))
-        return LaunchResult(records, [p.returncode for p in procs])
+        codes = _wait(procs, readers, time.monotonic() + spec.watchdog_seconds, stop=any)
     finally:
         for listener in listeners:
             listener.close()
-        _kill_all(procs)
+        _kill_all(procs, readers)
         for reader in readers:
             reader.join(timeout=5.0)
+    stopped = [i for i, c in enumerate(codes) if c is None]
+    if any(codes):
+        failed = [f"node {i} (exit {c})" if c > 0 else f"node {i} (signal {-c})"
+                  for i, c in enumerate(codes) if c]
+        echo(f"fedforge: {', '.join(failed)} failed; stopped nodes {stopped}")
+    elif stopped:
+        raise LaunchTimeoutError(f"watchdog ({spec.watchdog_seconds:g} s) expired; "
+                                 f"nodes still running: {stopped}")
+    return LaunchResult(records, [p.returncode for p in procs])

@@ -1,8 +1,9 @@
 """Process supervision: starting one process per node, forked or spawned,
-collecting exit codes in node order, the run-wide watchdog, and output
-echoing."""
+collecting exit codes in node order, ending the run at the first failed
+node, the run-wide watchdog, and output echoing."""
 
 import os
+import signal
 import socket
 import sys
 import threading
@@ -143,16 +144,52 @@ def test_missing_out_dir_is_created(tmp_path):
 # -- supervision mechanics (fake children) --------------------------------
 
 
-def command_stub(codes):
-    def build(spec, node_id):
-        return [sys.executable, "-c", f"import sys; sys.exit({codes[node_id]})"]
-    return build
+def command_stub(scripts):
+    """Node i runs ``python -c scripts[i]``."""
+    return lambda spec, node_id: [sys.executable, "-c", scripts[node_id]]
+
+
+SLEEP_60 = "import time; time.sleep(60)"
 
 
 def test_child_failure_propagates(tmp_path, monkeypatch):
-    monkeypatch.setattr(launcher, "_build_node_command", command_stub([0, 7, 0]))
+    """Node 1's exit 7 ends the run: nodes 0 and 2, which would sleep well
+    past it, are stopped."""
+    monkeypatch.setattr(launcher, "_build_node_command",
+                        command_stub([SLEEP_60, "import sys; sys.exit(7)", SLEEP_60]))
     spec = LaunchSpec(3, "centralized", tiny_csv(tmp_path))
-    assert launch(spec, echo=lambda _: None).exit_codes == [0, 7, 0]
+    assert launch(spec, echo=lambda _: None).exit_codes == [-signal.SIGTERM, 7, -signal.SIGTERM]
+
+
+def test_a_failed_node_that_is_not_waited_on_first_ends_the_run(tmp_path, monkeypatch):
+    """Node 2 exits 7 while nodes 0 and 1 sleep and keep their output open."""
+    monkeypatch.setattr(launcher, "_build_node_command", command_stub(
+        [SLEEP_60, SLEEP_60, "import sys, time; time.sleep(0.2); sys.exit(7)"]))
+    spec = LaunchSpec(3, "centralized", tiny_csv(tmp_path), watchdog_seconds=30.0)
+    lines: list[str] = []
+    start = time.monotonic()
+    result = launch(spec, echo=lines.append)
+    assert time.monotonic() - start < 2.0
+    assert result.exit_codes == [-signal.SIGTERM, -signal.SIGTERM, 7]
+    assert lines == ["fedforge: node 2 (exit 7) failed; stopped nodes [0, 1]"]
+
+
+def test_the_wait_sleeps_in_a_reader_join_not_on_a_timer(tmp_path, monkeypatch):
+    """While every node's output is open, the wait blocks in a join that
+    wakes at a node's exit; a 2 ms poll would make about 500 sleeps here."""
+    monkeypatch.setattr(launcher, "_build_node_command",
+                        command_stub(["import time; time.sleep(1)"] * 3))
+    real_sleep = time.sleep
+    sleeps: list[float] = []
+
+    def sleep(seconds):
+        sleeps.append(seconds)
+        real_sleep(seconds)
+
+    monkeypatch.setattr(time, "sleep", sleep)
+    spec = LaunchSpec(3, "centralized", tiny_csv(tmp_path), watchdog_seconds=30.0)
+    assert launch(spec, echo=lambda _: None).exit_codes == [0, 0, 0]
+    assert len(sleeps) < 20
 
 
 def test_watchdog_kills_hung_run(tmp_path, monkeypatch):
@@ -178,17 +215,18 @@ def test_watchdog_names_only_survivors(tmp_path, monkeypatch):
         launch(spec, echo=lambda _: None)
 
 
-def test_watchdog_names_the_nodes_that_already_failed(tmp_path, monkeypatch):
-    """Node 0 exits 7 at once and node 2 dies of SIGKILL while node 1 sleeps
-    past the watchdog: the message names all three, and how the two failed."""
-    scripts = ["import sys; sys.exit(7)", "import time; time.sleep(60)",
-               "import os, signal; os.kill(os.getpid(), signal.SIGKILL)"]
+def test_a_failed_node_ends_the_run_before_the_watchdog(tmp_path, monkeypatch):
+    """Node 0 exits 7 at once while nodes 1 and 2 would sleep past the 2 s
+    watchdog: no timeout is raised, and one line names the failed node and
+    the stopped ones."""
     monkeypatch.setattr(launcher, "_build_node_command",
-                        lambda spec, node_id: [sys.executable, "-c", scripts[node_id]])
+                        command_stub(["import sys; sys.exit(7)", SLEEP_60, SLEEP_60]))
     spec = LaunchSpec(3, "centralized", tiny_csv(tmp_path), watchdog_seconds=2.0)
-    with pytest.raises(LaunchTimeoutError, match=r"nodes still running: \[1\]; "
-                       r"already failed: node 0 \(exit 7\), node 2 \(signal 9\)$"):
-        launch(spec, echo=lambda _: None)
+    lines: list[str] = []
+    start = time.monotonic()
+    assert launch(spec, echo=lines.append).exit_codes == [7, -signal.SIGTERM, -signal.SIGTERM]
+    assert time.monotonic() - start < 2.0
+    assert lines == ["fedforge: node 0 (exit 7) failed; stopped nodes [1, 2]"]
 
 
 # stderr shares the stdout pipe, so a stub closes both to end its output.
@@ -339,17 +377,45 @@ def test_forked_node_fails_as_a_spawned_one_does(tmp_path, monkeypatch, forks):
     forked = run()
     assert len(forks) == 2
     monkeypatch.delattr(os, "fork")
-    assert forked == run()
-    codes, lines = forked
-    assert codes == [2, 2]
-    assert [line for line in lines if "fedforge: error:" in line and "line 2" in line] == lines
+    # Both nodes fail on the CSV; the first failure may stop the other first.
+    for codes, lines in (forked, run()):
+        assert 2 in codes and set(codes) <= {2, -signal.SIGTERM}
+        errors = [line for line in lines if "fedforge: error:" in line]
+        assert errors and all("line 2" in line for line in errors)
+        others = [line for line in lines if line not in errors]
+        assert len(others) == 1 and " failed; stopped nodes [" in others[0]
+
+
+@needs_fork
+def test_forked_node_killed_after_the_barrier_ends_the_run(tmp_path, monkeypatch, forks):
+    """The star's server dies of SIGKILL once its barrier is done; its clients,
+    which would wait for it until the watchdog, are stopped at once."""
+    real = cli.fl_centralized
+
+    def fl_centralized(transport, *args, **kwargs):
+        if transport.config.node_id == 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(transport, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "fl_centralized", fl_centralized)
+    spec = bundled_spec(tmp_path, 3, "centralized", 5, watchdog_seconds=5.0)
+    lines: list[str] = []
+    start = time.monotonic()
+    result = launch(spec, echo=lines.append)
+    assert time.monotonic() - start < 3.0
+    assert len(forks) == 3
+    assert result.exit_codes == [-signal.SIGKILL, -signal.SIGTERM, -signal.SIGTERM]
+    assert "fedforge: node 0 (signal 9) failed; stopped nodes [1, 2]" in lines
 
 
 @needs_fork
 def test_forked_node_dying_of_an_exception_echoes_its_output_first(tmp_path, monkeypatch, forks):
     """What a node printed before an uncaught exception is echoed, before
-    the traceback, though the child leaves through ``os._exit``."""
+    the traceback, though the child leaves through ``os._exit``.  Node 1
+    sleeps until node 0's failure stops it."""
     def run_node(args, listener=None):
+        if args.node_id == 1:
+            time.sleep(60)
         print(f"node {args.node_id} was here")
         raise RuntimeError("boom")
 
@@ -357,13 +423,14 @@ def test_forked_node_dying_of_an_exception_echoes_its_output_first(tmp_path, mon
     spec = LaunchSpec(2, "centralized", tiny_csv(tmp_path), base_port=free_base_port(2),
                       watchdog_seconds=60.0)
     lines: list[str] = []
-    assert launch(spec, echo=lines.append).exit_codes == [1, 1]
+    assert launch(spec, echo=lines.append).exit_codes == [1, -signal.SIGTERM]
     assert len(forks) == 2
-    for i in range(2):
-        echoed = [line for line in lines if line.startswith(f"[node {i}] ")]
-        assert echoed[:2] == [f"[node {i}] node {i} was here",
-                              f"[node {i}] Traceback (most recent call last):"]
-        assert echoed[-1] == f"[node {i}] RuntimeError: boom"
+    echoed = [line for line in lines if line.startswith("[node 0] ")]
+    assert echoed[:2] == ["[node 0] node 0 was here",
+                          "[node 0] Traceback (most recent call last):"]
+    assert echoed[-1] == "[node 0] RuntimeError: boom"
+    assert lines[-1] == "fedforge: node 0 (exit 1) failed; stopped nodes [1]"
+    assert not any(line.startswith("[node 1] ") for line in lines)
 
 
 @needs_fork
